@@ -1,0 +1,149 @@
+(* Cross-commit golden placement digests.
+
+   The determinism suite compares runs of one build against each other, so
+   a kernel rewrite that shifts every placement the same way passes it.
+   This suite pins the CRC-32 of the serialized placement (the bytes
+   `legalize run -o` writes) for the scale-sweep contest cases under every
+   legalizer configuration the project ships, plus one 1% ECO result, to
+   the values recorded in [golden_placements.txt].  A performance change
+   must leave every digest untouched; a change that moves placements on
+   purpose updates the file in the same commit and says why.
+
+   Lines of the file that this suite does not compute (the scale-1.0
+   `cli` digests) are checked by CI against the real command line. *)
+
+module Spec = Tdf_benchgen.Spec
+module Gen = Tdf_benchgen.Gen
+module Flow3d = Tdf_legalizer.Flow3d
+module Config = Tdf_legalizer.Config
+module Design = Tdf_netlist.Design
+module Placement = Tdf_netlist.Placement
+module Delta = Tdf_io.Delta
+module Eco = Tdf_incremental.Eco
+module Prng = Tdf_util.Prng
+module Crc32 = Tdf_util.Crc32
+
+let golden_file = "golden_placements.txt"
+
+let cases = [ (Spec.Iccad2022, "case2"); (Spec.Iccad2023, "case2") ]
+
+let scales = [ 0.1; 0.25 ]
+
+(* The frontier is pinned explicitly: [Config.default] honours
+   TDFLOW_FRONTIER, and the digests must not depend on the environment. *)
+let binary cfg = { cfg with Config.frontier = Config.Binary }
+
+let variants =
+  [
+    ("default", binary Config.default, None);
+    ("no_d2d", binary Config.no_d2d, None);
+    ("bonn_emulation", binary Config.bonn_emulation, None);
+    ("radix", { Config.default with Config.frontier = Config.Radix }, None);
+    ("tiles4", binary Config.default, Some 4);
+  ]
+
+let digest design p =
+  Crc32.to_hex (Crc32.string (Tdf_io.Text.placement_to_string design p))
+
+let key (suite, case) scale what =
+  Printf.sprintf "%s/%s %.2f %s" (Spec.suite_slug suite) case scale what
+
+let legalize ?tiles cfg design =
+  match Flow3d.run ~cfg ?tiles design with
+  | Ok r -> r.Flow3d.placement
+  | Error e -> Alcotest.fail (Flow3d.error_to_string e)
+
+(* A 1% move-only delta: distinct random cells, each jittered by at most
+   40 dbu around its legal position on its own die. *)
+let eco_delta design (prev : Placement.t) =
+  let rng = Prng.create 12 in
+  let n = Design.n_cells design in
+  let k = max 1 (n / 100) in
+  let window = 40 in
+  let jitter extent v =
+    max 0 (min (extent - 1) (v - window + Prng.int rng ((2 * window) + 1)))
+  in
+  let seen = Array.make n false in
+  let ops = ref [] in
+  while List.length !ops < k do
+    let c = Prng.int rng n in
+    if not seen.(c) then begin
+      seen.(c) <- true;
+      let die = prev.Placement.die.(c) in
+      let outline = (Design.die design die).Tdf_netlist.Die.outline in
+      ops :=
+        Delta.Move
+          {
+            cell = c;
+            x = jitter outline.Tdf_geometry.Rect.w prev.Placement.x.(c);
+            y = jitter outline.Tdf_geometry.Rect.h prev.Placement.y.(c);
+            die;
+          }
+        :: !ops
+    end
+  done;
+  List.rev !ops
+
+let eco_digest () =
+  let case = (Spec.Iccad2023, "case2") and scale = 0.1 in
+  let design = Gen.generate ~scale (Spec.find (fst case) (snd case)) in
+  let prev = legalize (binary Config.default) design in
+  let cfg = { Eco.default_cfg with Eco.flow = binary Config.default } in
+  match Eco.run ~cfg design prev (eco_delta design prev) with
+  | Error e -> Alcotest.fail (Eco.error_to_string e)
+  | Ok r -> (key case scale "eco1pct", digest r.Eco.design r.Eco.placement)
+
+let computed () =
+  let runs =
+    List.concat_map
+      (fun case ->
+        List.concat_map
+          (fun scale ->
+            let design = Gen.generate ~scale (Spec.find (fst case) (snd case)) in
+            List.map
+              (fun (name, cfg, tiles) ->
+                (key case scale name, digest design (legalize ?tiles cfg design)))
+              variants)
+          scales)
+      cases
+  in
+  runs @ [ eco_digest () ]
+
+let read_golden () =
+  In_channel.with_open_text golden_file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.rindex_opt line ' ' with
+           | Some i ->
+             Some
+               ( String.trim (String.sub line 0 i),
+                 String.sub line (i + 1) (String.length line - i - 1) )
+           | None -> Alcotest.failf "%s: malformed line %S" golden_file line)
+
+let test_golden_digests () =
+  let golden = read_golden () in
+  let got = computed () in
+  let wrong =
+    List.filter (fun (k, d) -> List.assoc_opt k golden <> Some d) got
+  in
+  if wrong <> [] then
+    Alcotest.failf
+      "%d placement digest(s) differ from %s:\n%s\n\nall computed digests:\n%s"
+      (List.length wrong) golden_file
+      (String.concat "\n"
+         (List.map
+            (fun (k, d) ->
+              Printf.sprintf "  %s: want %s, got %s" k
+                (Option.value (List.assoc_opt k golden) ~default:"(missing)")
+                d)
+            wrong))
+      (String.concat "\n" (List.map (fun (k, d) -> k ^ " " ^ d) got))
+
+let suite =
+  [
+    Alcotest.test_case "placement digests match golden_placements.txt" `Quick
+      test_golden_digests;
+  ]
