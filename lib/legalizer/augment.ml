@@ -11,8 +11,6 @@ type state = {
   flow : float array;
   parent : int array;
   visited : int array;  (* epoch stamp *)
-  cd_cache : int array;  (* memoized cur_disp per cell *)
-  cd_epoch : int array;
   heap : Heap.t;  (* hoisted search frontier, cleared per search *)
   rheap : Heap_radix.t;  (* the Config.Radix frontier alternative *)
   mutable epoch : int;
@@ -25,31 +23,16 @@ let micro c = int_of_float (Float.round (c *. 1e6))
 
 let create_state grid =
   let n = Grid.n_bins grid in
-  let nc = Tdf_netlist.Design.n_cells grid.Grid.design in
   {
     cost = Array.make n 0.;
     flow = Array.make n 0.;
     parent = Array.make n (-1);
     visited = Array.make n 0;
-    cd_cache = Array.make nc 0;
-    cd_epoch = Array.make nc 0;
     heap = Heap.create ();
     rheap = Heap_radix.create ();
     epoch = 0;
     pops = 0;
   }
-
-(* The grid does not mutate during a search, so D_c(u) is memoized per
-   search epoch — it is evaluated for the same cell once per incident edge
-   otherwise, which dominated the profile. *)
-let cached_cur_disp grid st cell =
-  if st.cd_epoch.(cell) = st.epoch then st.cd_cache.(cell)
-  else begin
-    let d = Select.cur_disp grid cell in
-    st.cd_cache.(cell) <- d;
-    st.cd_epoch.(cell) <- st.epoch;
-    d
-  end
 
 let expansions st = st.pops
 
@@ -184,8 +167,8 @@ let search ?mask ?probe:pr cfg grid st ~src =
                   incr sels;
                   read_bin v.Grid.id;
                   match
-                    Select.select ~cur:(cached_cur_disp grid st) ?util_probe cfg
-                      grid ~src:u ~dst:v ~kind:e.Grid.kind ~need
+                    Select.select ?util_probe cfg grid ~src:u ~dst:v
+                      ~kind:e.Grid.kind ~need
                   with
                   | None -> ()
                   | Some sel ->

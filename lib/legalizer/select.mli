@@ -26,25 +26,19 @@ type selection = {
   sel_cost : float;  (** total displacement cost of the movement (Eq. 5/7) *)
 }
 
-val cur_disp : Grid.t -> int -> int
-(** Estimated displacement of a cell at its current fragment span: distance
-    from its initial position to the nearest point of the span (the D_c(u)
-    term of Eq. 5). *)
-
 val unit_cost :
-  ?cur:(int -> int) ->
   Config.t ->
   Grid.t ->
   cell:int ->
   dst:Grid.bin ->
   kind:Grid.edge_kind ->
   float
-(** cost_{u,v,c} for moving one cell toward [dst]: [D_c(v) − D_c(u)], plus
+(** cost_{u,v,c} for moving one cell toward [dst]: [D_c(v) − D_c(u)]
+    ({!Grid.est_disp} minus the grid-cached {!Grid.cur_disp}), plus
     the Eq. 7 congestion term on D2D edges, clamped at 0 when the
     configuration forbids negative costs. *)
 
 val select :
-  ?cur:(int -> int) ->
   ?util_probe:(die:int -> inflow:float -> ok:bool -> unit) ->
   Config.t ->
   Grid.t ->
@@ -57,9 +51,7 @@ val select :
     least [need] width from [src] ([freed >= need], with equality for
     horizontal edges).  [None] when the bin cannot shed [need] width or, on
     a D2D edge, when moving would exceed the destination die's utilization
-    cap (§III-F).  [?cur] optionally overrides the D_c(u) lookup with a
-    cached function — the search memoizes it per search epoch, since the
-    grid does not mutate while searching.  [?util_probe] observes every
+    cap ({!Grid.util_ok}, §III-F).  [?util_probe] observes every
     evaluation of the utilization cap — the [die_used] comparison and its
     outcome — so the tiled legalizer can later re-evaluate the same
     comparison against drifted die totals (the only die state a selection

@@ -125,7 +125,7 @@ let make ?within ?(halo = default_halo) grid ~tiles =
 (* ------------------------------------------------------------------ *)
 
 (* A search that reads bin [b] depends on [b]'s own fragments plus, via
-   [cur_disp], the fragment span of every cell fragmented in [b] — and a
+   [Grid.cur_disp], the fragment span of every cell fragmented in [b] — and a
    write that changes such a cell's span necessarily touches a bin the
    cell occupied.  So the exact write footprint of a commit is the path's
    bins plus every moved cell's pre-move span (the {!commit_trace}), and
@@ -348,18 +348,10 @@ let conflicts c = c.c_conflicts
 let live_searches c = c.c_live
 
 (* Re-evaluate a recorded utilization-cap comparison against the live die
-   totals — the exact expression [Select.select] computes, so the live
-   search resolves the comparison identically iff the outcomes match. *)
+   totals with the predicate [Select.select] used, so the live search
+   resolves the comparison identically iff the outcomes match. *)
 let util_still (c : consumer) (d, inflow, passed) =
-  let grid = c.c_grid in
-  let max_util =
-    (Tdf_netlist.Design.die grid.Grid.design d).Tdf_netlist.Die.max_util
-  in
-  let now =
-    grid.Grid.die_cap.(d) <= 0.
-    || (grid.Grid.die_used.(d) +. inflow) /. grid.Grid.die_cap.(d) <= max_util
-  in
-  now = passed
+  Grid.util_ok c.c_grid ~die:d ~inflow = passed
 
 let drop c t pos =
   c.c_conflicts <- c.c_conflicts + (Array.length c.c_logs.(t) - pos);

@@ -1,0 +1,320 @@
+(* Flow-pass kernel: the grid-owned D_c(u) cache and the row-pruned
+   relief, each checked against a from-scratch reference.
+
+   - The cache must equal a recomputation after every kind of grid
+     mutation, on every clone, and a search state reused across diverging
+     clones must behave exactly like a fresh one (a cache keyed to the
+     searcher instead of the grid fails that case).
+   - The row-pruned relief must pick the same (cell, bin) as the original
+     full scan kept in [Ref_relief], including on equal-cost ties, under
+     masks, with and without D2D edges, and on dies sitting exactly at
+     their utilization cap. *)
+
+module G = Tdf_grid.Grid
+module L = Tdf_legalizer
+module Config = Tdf_legalizer.Config
+module Design = Tdf_netlist.Design
+module Die = Tdf_netlist.Die
+module Cell = Tdf_netlist.Cell
+module Placement = Tdf_netlist.Placement
+module Rect = Tdf_geometry.Rect
+module Prng = Tdf_util.Prng
+
+(* D_c(u) straight from the fragment list, written independently of the
+   grid's own computation. *)
+let ref_cur_disp g cell =
+  match g.G.cell_frags.(cell) with
+  | [] -> 0
+  | frags ->
+    let c = Design.cell g.G.design cell in
+    let first = g.G.bins.(fst (List.hd frags)) in
+    let w = Cell.width_on c first.G.die in
+    let lo, hi =
+      List.fold_left
+        (fun (lo, hi) (bid, _) ->
+          let b = g.G.bins.(bid) in
+          (min lo b.G.x, max hi (b.G.x + b.G.width)))
+        (max_int, min_int) frags
+    in
+    let x = max lo (min (max lo (hi - w)) c.Cell.gp_x) in
+    abs (x - c.Cell.gp_x) + abs (first.G.y - c.Cell.gp_y)
+
+(* Every cached entry matches its fragments, and reading every cell (which
+   refills the cache) agrees with the reference. *)
+let coherent g =
+  G.check_invariants g = Ok ()
+  &&
+  let ok = ref true in
+  for c = 0 to Design.n_cells g.G.design - 1 do
+    if G.cur_disp g c <> ref_cur_disp g c then ok := false
+  done;
+  !ok
+
+let random_bin rng g = g.G.bins.(Prng.int rng (G.n_bins g))
+
+let prop_cache_coherent =
+  Props.test "D_c(u) cache coherent under mutations and clones" ~count:60
+    Props.(pair (int_range 0 1_000_000) (int_range 8 30))
+    (fun (seed, bin_width) ->
+      let d = Fixtures.random ~n:40 ~with_macros:(seed mod 2 = 0) seed in
+      let n = Design.n_cells d in
+      let rng = Prng.create (seed + 7) in
+      let g0 = G.build d ~bin_width in
+      G.assign_initial_exn g0 (Placement.initial d);
+      let pool = ref [| g0 |] in
+      let ok = ref (coherent g0) in
+      for _ = 1 to 120 do
+        if !ok then begin
+          let g = Prng.choose rng !pool in
+          let cell = Prng.int rng n in
+          (match Prng.int rng 7 with
+          | 0 ->
+            if G.segment_of_cell g cell >= 0 then G.remove_cell g ~cell;
+            ignore
+              (G.place_cell g ~cell ~die:(Prng.int rng 2) ~x:(Prng.int rng 120)
+                 ~y:(Prng.int rng 50))
+          | 1 ->
+            let sid = G.segment_of_cell g cell in
+            if sid >= 0 then begin
+              let s = g.G.segments.(sid) in
+              if Array.length s.G.s_bins >= 2 then begin
+                let i = Prng.int rng (Array.length s.G.s_bins - 1) in
+                let b0 = g.G.bins.(s.G.s_bins.(i)) in
+                let b1 = g.G.bins.(s.G.s_bins.(i + 1)) in
+                if Prng.bool rng then
+                  G.move_fraction g ~cell ~src:b0 ~dst:b1 ~rho:(Prng.float rng 1.0)
+                else
+                  G.move_fraction g ~cell ~src:b1 ~dst:b0 ~rho:(Prng.float rng 1.0)
+              end
+            end
+          | 2 -> G.move_whole g ~cell ~dst:(random_bin rng g)
+          | 3 -> G.remove_cell g ~cell
+          | 4 -> G.reset g
+          | 5 ->
+            let targets =
+              Array.init n (fun _ ->
+                  (Prng.int rng 120, Prng.int rng 50, Prng.int rng 2))
+            in
+            ignore (G.reset_to g targets)
+          | _ -> pool := Array.append !pool [| G.clone g |]);
+          ok := Array.for_all coherent !pool
+        end
+      done;
+      !ok)
+
+(* The most overflowed bin, if any. *)
+let hottest g =
+  Array.fold_left
+    (fun best (b : G.bin) ->
+      if G.supply b <= 1e-6 then best
+      else
+        match best with
+        | Some (h : G.bin) when G.supply h >= G.supply b -> best
+        | _ -> Some b)
+    None g.G.bins
+
+(* Tile speculation reuses one search state per domain across different
+   clones.  Two clones of a dense design re-place every cell at
+   independent random targets through the same mutations, so per-cell
+   mutation counts mostly agree between them while positions do not.
+   One shared state then searches the clones alternately, each search
+   must equal a fresh-state search of the same grid, and realizing the
+   paths keeps the clones diverging.  A cache held by the searcher and
+   validated by such counts (copied on clone) fails here. *)
+let test_shared_state_across_clones () =
+  let cfg = { Config.default with Config.frontier = Config.Binary } in
+  for seed = 0 to 5 do
+    let d = Fixtures.random ~n:150 seed in
+    let n = Design.n_cells d in
+    let g = G.build d ~bin_width:15 in
+    G.assign_initial_exn g (Placement.initial d);
+    let rng = Prng.create (seed + 100) in
+    let diverged () =
+      let c = G.clone g in
+      let targets =
+        Array.init n (fun _ -> (Prng.int rng 120, Prng.int rng 50, Prng.int rng 2))
+      in
+      if G.reset_to c targets <> Ok () then Alcotest.fail "reset_to failed";
+      c
+    in
+    let a = diverged () in
+    let b = diverged () in
+    let shared = L.Augment.create_state g in
+    let scratch = L.Mover.create_scratch () in
+    for round = 1 to 25 do
+      List.iter
+        (fun (name, grid) ->
+          match hottest grid with
+          | None -> ()
+          | Some src ->
+            let got = L.Augment.search cfg grid shared ~src in
+            let got_exp = L.Augment.expansions shared in
+            let fresh = L.Augment.create_state grid in
+            let want = L.Augment.search cfg grid fresh ~src in
+            let what =
+              Printf.sprintf "seed %d round %d clone %s bin %d" seed round name
+                src.G.id
+            in
+            Alcotest.(check bool) (what ^ ": same path") true (got = want);
+            Alcotest.(check int)
+              (what ^ ": same expansions")
+              (L.Augment.expansions fresh) got_exp;
+            Option.iter
+              (fun path -> ignore (L.Mover.realize cfg grid scratch path))
+              got)
+        [ ("a", a); ("b", b) ]
+    done;
+    Alcotest.(check bool) "clone a coherent" true (coherent a);
+    Alcotest.(check bool) "clone b coherent" true (coherent b)
+  done
+
+(* A design built for ties: coarse global positions (x on a 10-grid, y on
+   a 5-grid), three widths, and a top die whose rows differ from the
+   bottom die's in height and offset. *)
+let tie_design rng ~max_util =
+  let row_top = if Prng.bool rng then 10 else 8 in
+  let y_top = if Prng.bool rng then 0 else 5 in
+  let dies =
+    [|
+      Die.make ~index:0 ~outline:(Rect.make ~x:0 ~y:0 ~w:100 ~h:40) ~row_height:10
+        ~max_util:max_util.(0) ();
+      Die.make ~index:1
+        ~outline:(Rect.make ~x:0 ~y:y_top ~w:100 ~h:40)
+        ~row_height:row_top ~max_util:max_util.(1) ();
+    |]
+  in
+  let widths = [| 2; 4; 5 |] in
+  let cells =
+    Array.init (Prng.int_in rng 20 60) (fun id ->
+        Cell.make ~id
+          ~widths:[| Prng.choose rng widths; Prng.choose rng widths |]
+          ~gp_x:(10 * Prng.int rng 10)
+          ~gp_y:(5 * Prng.int rng 9)
+          ~gp_z:(Prng.float rng 1.0) ())
+  in
+  Design.make ~name:"ties" ~dies ~cells ()
+
+let grid_of design ~bin_width =
+  let g = G.build design ~bin_width in
+  G.assign_initial_exn g (Placement.initial design);
+  g
+
+(* Rebuild [design] so that die [d] is exactly at its cap once [w] more
+   width arrives: [die_used] depends only on the assignment, so the
+   rebuilt grid evaluates [(used + w) / cap] to exactly [max_util]. *)
+let at_boundary design ~bin_width ~d ~w =
+  let g = grid_of design ~bin_width in
+  let m = (g.G.die_used.(d) +. w) /. g.G.die_cap.(d) in
+  if m <= 0. || m > 1. then design
+  else begin
+    let dies =
+      Array.map
+        (fun (die : Die.t) ->
+          if die.Die.index <> d then die
+          else
+            Die.make ~index:d ~outline:die.Die.outline ~row_height:die.Die.row_height
+              ~max_util:m ())
+        design.Design.dies
+    in
+    { design with Design.dies }
+  end
+
+let pick_of = Option.map (fun (c, (b : G.bin)) -> (c, b.G.id))
+
+let prop_relief_matches_reference =
+  Props.test "row-pruned relief picks what the full scan picks" ~count:80
+    Props.(pair (int_range 0 1_000_000) (int_range 6 25))
+    (fun (seed, bin_width) ->
+      let rng = Prng.create seed in
+      let caps = [| 1.0; 0.8; 0.6 |] in
+      let max_util = Array.init 2 (fun _ -> Prng.choose rng caps) in
+      let design = tie_design rng ~max_util in
+      let design =
+        if Prng.bool rng then design
+        else begin
+          (* put the other die of some overflowed bin's first cell exactly
+             at its cap for that cell's width *)
+          let g = grid_of design ~bin_width in
+          match hottest g with
+          | Some src when src.G.frags <> [] ->
+            let cell = (List.hd src.G.frags).G.cell in
+            let d = 1 - src.G.die in
+            let w = float_of_int (Cell.width_on (Design.cell design cell) d) in
+            at_boundary design ~bin_width ~d ~w
+          | Some _ | None -> design
+        end
+      in
+      let cfg = if Prng.bool rng then Config.default else Config.no_d2d in
+      let a = grid_of design ~bin_width in
+      let b = G.clone a in
+      let mask =
+        if Prng.bool rng then None
+        else Some (Array.init (G.n_bins a) (fun _ -> Prng.int rng 4 <> 0))
+      in
+      (* Relieve every overflowed bin, three sweeps: both grids take the
+         same moves, so each later pick starts from the same state. *)
+      let ok = ref true in
+      for _ = 1 to 3 do
+        Array.iter
+          (fun (src : G.bin) ->
+            if !ok && G.supply src > 0. then begin
+              let want = Ref_relief.relieve ?mask cfg a ~src:a.G.bins.(src.G.id) in
+              let got = L.Relief.relieve ?mask cfg b ~src:b.G.bins.(src.G.id) in
+              if pick_of want <> pick_of got then ok := false
+            end)
+          a.G.bins
+      done;
+      !ok)
+
+(* The boundary case by construction: die 1 holds 196 of its 400 units at
+   a 0.5 cap, so a width-4 cell fits exactly and a width-5 cell does not. *)
+let test_relief_util_boundary () =
+  let dies =
+    [|
+      Die.make ~index:0 ~outline:(Rect.make ~x:0 ~y:0 ~w:100 ~h:40) ~row_height:10 ();
+      Die.make ~index:1 ~outline:(Rect.make ~x:0 ~y:0 ~w:100 ~h:40) ~row_height:10
+        ~max_util:0.5 ();
+    |]
+  in
+  let cell id ~w0 ~w1 ~x ~y ~z =
+    Cell.make ~id ~widths:[| w0; w1 |] ~gp_x:x ~gp_y:y ~gp_z:z ()
+  in
+  (* die 0: a pile of 25-wide cells at one spot, then one width-4 and one
+     width-5 candidate (on die 1) among them; die 1: 196 units spread in
+     whole 14-wide cells, one per 20-wide bin *)
+  let pile =
+    List.init 6 (fun i -> cell i ~w0:25 ~w1:25 ~x:40 ~y:10 ~z:0.)
+    @ [ cell 6 ~w0:6 ~w1:5 ~x:40 ~y:10 ~z:0.; cell 7 ~w0:6 ~w1:4 ~x:40 ~y:10 ~z:0. ]
+  in
+  let fill =
+    List.init 14 (fun i ->
+        cell (8 + i) ~w0:14 ~w1:14 ~x:(20 * (i mod 5)) ~y:(10 * (i / 5)) ~z:1.)
+  in
+  let design =
+    Design.make ~name:"boundary" ~dies ~cells:(Array.of_list (pile @ fill)) ()
+  in
+  let a = grid_of design ~bin_width:20 in
+  Alcotest.(check (float 0.)) "die 1 at 196" 196. a.G.die_used.(1);
+  let b = G.clone a in
+  let src = Option.get (hottest a) in
+  List.iter
+    (fun cfg ->
+      let a = G.clone a and b = G.clone b in
+      let want = Ref_relief.relieve cfg a ~src:a.G.bins.(src.G.id) in
+      let got = L.Relief.relieve cfg b ~src:b.G.bins.(src.G.id) in
+      Alcotest.(check (option (pair int int))) "same pick" (pick_of want) (pick_of got);
+      if cfg.Config.d2d_edges then
+        Alcotest.(check (option (pair int int)))
+          "the width-4 cell crosses to die 1 at exactly its cap" (Some (7, 1))
+          (Option.map (fun (c, (bin : G.bin)) -> (c, bin.G.die)) got))
+    [ Config.default; Config.no_d2d ]
+
+let suite =
+  [
+    prop_cache_coherent;
+    Alcotest.test_case "search state shared across diverging clones" `Quick
+      test_shared_state_across_clones;
+    prop_relief_matches_reference;
+    Alcotest.test_case "relief at the utilization boundary" `Quick
+      test_relief_util_boundary;
+  ]
