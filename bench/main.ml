@@ -7,8 +7,6 @@
      TDFLOW_OUT_DIR  directory for generated artifacts (default "out")
      TDFLOW_SKIP_MICRO  set to skip the Bechamel micro-benchmarks
      TDFLOW_SOLVER_ONLY  run only the MCMF solver microbenchmark and exit
-     TDFLOW_SOLVER  default MCMF engine (ssp | radix | blocking); the
-                    solver bench also times every variant explicitly
      TDFLOW_GOLDEN  path to pinned (flow, cost) values for the solver
                     small case; exit non-zero on mismatch (CI smoke)
      TDFLOW_PARALLEL_ONLY  run only the parallel-scaling benchmark and exit
@@ -100,8 +98,6 @@ type solver_case = {
   sc_repeat_rebuild_s : float;
   sc_minor_words_solve : float;
   sc_augmentations : int;
-  sc_variant_solve_s : (string * float) list;
-      (* one timed solve per engine variant, keyed "<name>_solve_s" *)
 }
 
 let run_solver_case ~name ~supplies ~demands ~window ~iters =
@@ -135,30 +131,6 @@ let run_solver_case ~name ~supplies ~demands ~window ~iters =
   let augmentations =
     Tdf_telemetry.Aggregate.counter_total agg "mcmf.augmentations"
   in
-  (* One timed solve per engine variant.  Max flow is unique and so is the
-     min cost at max flow, so every variant must reproduce the default
-     run's (flow, cost) exactly — the bench doubles as a differential
-     check on the exact graph it times. *)
-  let variant_solve v =
-    Mcmf.Csr.reset_caps g;
-    let (f, c), dt =
-      timed (fun () ->
-          match Mcmf.solve_csr g ~ws ~source ~sink ~variant:v () with
-          | Ok s -> (s.Mcmf.flow, s.Mcmf.cost)
-          | Error e -> failwith (Mcmf.error_to_string e))
-    in
-    if f <> flow || c <> cost then begin
-      Printf.eprintf
-        "VARIANT MISMATCH: %s under %s solved (flow=%d, cost=%d); default \
-         solved (flow=%d, cost=%d)\n"
-        name (Mcmf.variant_name v) f c flow cost;
-      exit 1
-    end;
-    (Mcmf.variant_name v ^ "_solve_s", dt)
-  in
-  let variant_solve_s =
-    List.map variant_solve [ Mcmf.Ssp; Mcmf.Radix; Mcmf.Blocking ]
-  in
   (* Repeated solves in the hot-loop shape: reset capacities, reuse the
      frozen graph and scratch ... *)
   let (), repeat_reuse_s =
@@ -182,10 +154,6 @@ let run_solver_case ~name ~supplies ~demands ~window ~iters =
      repeat(%d): reuse=%.4fs rebuild=%.4fs minor_words=%.0f augs=%d\n%!"
     name n (Mcmf.Csr.n_edges g) flow cost build_s solve_s iters repeat_reuse_s
     repeat_rebuild_s minor_words augmentations;
-  Printf.printf "  %-6s variants:%s\n%!" ""
-    (String.concat ""
-       (List.map (fun (k, dt) -> Printf.sprintf " %s=%.4f" k dt)
-          variant_solve_s));
   {
     sc_name = name;
     sc_vertices = n;
@@ -199,12 +167,11 @@ let run_solver_case ~name ~supplies ~demands ~window ~iters =
     sc_repeat_rebuild_s = repeat_rebuild_s;
     sc_minor_words_solve = minor_words;
     sc_augmentations = augmentations;
-    sc_variant_solve_s = variant_solve_s;
   }
 
 let solver_case_json r =
   Json.Obj
-    ([
+    [
       ("name", Json.String r.sc_name);
       ("n_vertices", Json.Int r.sc_vertices);
       ("n_edges", Json.Int r.sc_edges);
@@ -221,11 +188,7 @@ let solver_case_json r =
         Json.Float
           (if r.sc_augmentations = 0 then 0.
            else r.sc_minor_words_solve /. float_of_int r.sc_augmentations) );
-      (* Per-variant timings follow; flow/cost agreement across variants
-         is asserted in [run_solver_case] (the bench aborts on mismatch). *)
-      ("variants_agree", Json.Bool true);
     ]
-    @ List.map (fun (k, dt) -> (k, Json.Float dt)) r.sc_variant_solve_s)
 
 (* Golden file format: '#' comments plus "flow <int>" / "cost <int>"
    lines pinning the small case.  A mismatch means the solver's arithmetic
@@ -265,10 +228,9 @@ let check_golden path results =
 
 let run_solver_bench () =
   Printf.printf "== MCMF solver microbenchmark (CSR core) ==\n";
-  (* The large (n=5002) case runs by default: it is the one whose
-     asymptotics the radix/blocking engines change, and the checked-in
-     ci/baselines/BENCH_solver.json pins it.  The historical
-     TDFLOW_SOLVER_LARGE opt-in gate is gone. *)
+  (* The large (n=5002) case runs by default: it is the one where the
+     blocking phases pay off, and the checked-in
+     ci/baselines/BENCH_solver.json pins it. *)
   let cases =
     [
       ("small", 24, 24, 4, 200);
@@ -286,8 +248,6 @@ let run_solver_bench () =
     Json.Obj
       [
         ("generated_by", Json.String "bench/main.ml");
-        ( "default_variant",
-          Json.String (Mcmf.variant_name (Mcmf.default_variant ())) );
         ("cases", Json.List (List.map solver_case_json results));
       ]
   in

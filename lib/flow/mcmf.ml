@@ -1,5 +1,4 @@
 module Budget = Tdf_util.Budget
-module Heap_int = Tdf_util.Heap_int
 module Heap_radix = Tdf_util.Heap_radix
 
 type arc = { a_src : int; a_dst : int; a_cap : int; a_cost : int }
@@ -157,8 +156,7 @@ module Workspace = struct
     mutable prev_v : int array;
     mutable prev_a : int array;
     mutable potential : int array;
-    heap : Heap_int.t;
-    rheap : Heap_radix.t;
+    heap : Heap_radix.t;
     (* Blocking-phase scratch: per-vertex arc cursor, DFS path stacks and
        stamp-marked on-path/dead flags.  Stamps grow monotonically across
        the workspace lifetime so reuse needs no O(n) clears. *)
@@ -177,8 +175,7 @@ module Workspace = struct
       prev_v = [||];
       prev_a = [||];
       potential = [||];
-      heap = Heap_int.create ();
-      rheap = Heap_radix.create ();
+      heap = Heap_radix.create ();
       cur = [||];
       stack_v = [||];
       stack_a = [||];
@@ -200,49 +197,11 @@ module Workspace = struct
       ws.onstack <- Array.make n 0;
       ws.dead <- Array.make n 0
     end;
-    Heap_int.clear ws.heap;
-    Heap_radix.clear ws.rheap
+    Heap_radix.clear ws.heap
 end
 
 (* ------------------------------------------------------------------ *)
-(* Solver variants                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type variant = Ssp | Radix | Blocking
-
-let variant_name = function
-  | Ssp -> "ssp"
-  | Radix -> "radix"
-  | Blocking -> "blocking"
-
-let variant_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "ssp" -> Some Ssp
-  | "radix" -> Some Radix
-  | "blocking" -> Some Blocking
-  | _ -> None
-
-let env_variant =
-  lazy
-    (match Sys.getenv_opt "TDFLOW_SOLVER" with
-    | None | Some "" -> Blocking
-    | Some s -> (
-      match variant_of_string s with
-      | Some v -> v
-      | None ->
-        invalid_arg
-          (Printf.sprintf "TDFLOW_SOLVER=%S: expected ssp, radix or blocking" s)
-      ))
-
-let variant_override = ref None
-
-let set_default_variant v = variant_override := Some v
-
-let default_variant () =
-  match !variant_override with Some v -> v | None -> Lazy.force env_variant
-
-(* ------------------------------------------------------------------ *)
-(* Successive shortest paths on the CSR graph                          *)
+(* Successive shortest paths with blocking phases on the CSR graph     *)
 (* ------------------------------------------------------------------ *)
 
 (* Residual arcs that can still relax after Bellman–Ford converged or ran
@@ -292,13 +251,10 @@ let bellman_ford (g : Csr.t) source dist =
   if !iters > n then Error (relaxable_arcs g dist) else Ok ()
 
 let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
-    ?(max_flow = max_int) ?(budget = Budget.unlimited) ?variant () =
+    ?(max_flow = max_int) ?(budget = Budget.unlimited) () =
   Tdf_telemetry.span "mcmf.min_cost_flow" @@ fun () ->
   if Tdf_util.Failpoint.fire "mcmf.solve" then Error (Negative_cycle [])
   else begin
-    let variant =
-      match variant with Some v -> v | None -> default_variant ()
-    in
     let n = g.Csr.n in
     Workspace.ensure ws n;
     if ws.Workspace.solves > 0 then Tdf_telemetry.incr "mcmf.ws_reuse";
@@ -313,8 +269,7 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
     let dist = ws.Workspace.dist
     and prev_v = ws.Workspace.prev_v
     and prev_a = ws.Workspace.prev_a
-    and potential = ws.Workspace.potential
-    and heap = ws.Workspace.heap in
+    and potential = ws.Workspace.potential in
     Array.fill potential 0 n 0;
     let has_negative =
       let rec scan p =
@@ -340,57 +295,21 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
       let total_flow = ref 0 and total_cost = ref 0 in
       let continue = ref true in
       let complete = ref true in
-      (* Dijkstra on reduced costs (exact integer keys), binary heap: the
-         classic SSP inner loop, kept bit-for-bit as the reference path. *)
-      let dijkstra_binary () =
+      (* Dijkstra on reduced costs (exact integer keys) with the monotone
+         radix heap.  Reduced costs of residual arcs out of reachable
+         vertices are non-negative (Johnson potentials), so pushed keys
+         never fall below the extracted minimum; Heap_radix.add raises
+         loudly if that invariant is ever broken. *)
+      let dijkstra () =
         incr phases;
         Array.fill dist 0 n max_int;
         dist.(source) <- 0;
-        Heap_int.clear heap;
-        Heap_int.add heap ~key:0 source;
-        let rec run () =
-          if not (Heap_int.is_empty heap) then begin
-            let d = Heap_int.top_key heap and v = Heap_int.top_value heap in
-            Heap_int.remove_top heap;
-            incr pops;
-            if d <= dist.(v) then
-              for p = g.Csr.head.(v) to g.Csr.head.(v + 1) - 1 do
-                incr arc_scans;
-                if g.Csr.a_cap.(p) > 0 then begin
-                  let w = g.Csr.a_dst.(p) in
-                  let nd =
-                    dist.(v) + g.Csr.a_cost.(p) + potential.(v) - potential.(w)
-                  in
-                  if nd < dist.(w) then begin
-                    incr relaxations;
-                    dist.(w) <- nd;
-                    prev_v.(w) <- v;
-                    prev_a.(w) <- p;
-                    Heap_int.add heap ~key:nd w
-                  end
-                end
-              done;
-            run ()
-          end
-        in
-        run ()
-      in
-      (* Same Dijkstra on the monotone radix heap.  Reduced costs of
-         residual arcs out of reachable vertices are non-negative (Johnson
-         potentials), so pushed keys never fall below the extracted
-         minimum; Heap_radix.add raises loudly if that invariant is ever
-         broken. *)
-      let dijkstra_radix () =
-        incr phases;
-        Array.fill dist 0 n max_int;
-        dist.(source) <- 0;
-        let rheap = ws.Workspace.rheap in
-        Heap_radix.clear rheap;
-        Heap_radix.add rheap ~key:0 source;
-        while not (Heap_radix.is_empty rheap) do
-          let d = Heap_radix.top_key rheap
-          and v = Heap_radix.top_value rheap in
-          Heap_radix.remove_top rheap;
+        let heap = ws.Workspace.heap in
+        Heap_radix.clear heap;
+        Heap_radix.add heap ~key:0 source;
+        while not (Heap_radix.is_empty heap) do
+          let d = Heap_radix.top_key heap and v = Heap_radix.top_value heap in
+          Heap_radix.remove_top heap;
           incr pops;
           if d <= dist.(v) then
             for p = g.Csr.head.(v) to g.Csr.head.(v + 1) - 1 do
@@ -405,7 +324,7 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
                   dist.(w) <- nd;
                   prev_v.(w) <- v;
                   prev_a.(w) <- p;
-                  Heap_radix.add rheap ~key:nd w
+                  Heap_radix.add heap ~key:nd w
                 end
               end
             done
@@ -416,8 +335,8 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
           if dist.(v) < max_int then potential.(v) <- potential.(v) + dist.(v)
         done
       in
-      (* One augmentation along the Dijkstra parent tree (classic SSP
-         step; also the progress guarantee behind the blocking phase). *)
+      (* One augmentation along the Dijkstra parent tree: the progress
+         guarantee behind the blocking phase. *)
       let augment_parent_tree () =
         let rec bottleneck v acc =
           if v = source then acc
@@ -552,23 +471,18 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
           continue := false
         end
         else begin
-          (match variant with
-          | Ssp -> dijkstra_binary ()
-          | Radix | Blocking -> dijkstra_radix ());
+          dijkstra ();
           if dist.(sink) = max_int then continue := false
           else begin
             lift_potentials ();
-            match variant with
-            | Ssp | Radix -> augment_parent_tree ()
-            | Blocking ->
-              (* The DFS can in principle dead-mark a vertex whose only
-                 tight paths to the sink run through the then-current
-                 stack; if a phase somehow pushes nothing, fall back to
-                 one parent-tree augmentation so progress (and hence
-                 termination) is unconditional. *)
-              let pushes = blocking_phase () in
-              if pushes = 0 && !continue && !total_flow < max_flow then
-                augment_parent_tree ()
+            (* The DFS can in principle dead-mark a vertex whose only tight
+               paths to the sink run through the then-current stack; if a
+               phase somehow pushes nothing, fall back to one parent-tree
+               augmentation so progress (and hence termination) is
+               unconditional. *)
+            let pushes = blocking_phase () in
+            if pushes = 0 && !continue && !total_flow < max_flow then
+              augment_parent_tree ()
           end
         end
       done;
@@ -577,7 +491,6 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
       Tdf_telemetry.count "mcmf.relaxations" !relaxations;
       Tdf_telemetry.count "mcmf.arc_scans" !arc_scans;
       Tdf_telemetry.count "mcmf.phases" !phases;
-      Tdf_telemetry.incr ("mcmf.variant_" ^ variant_name variant);
       if not !complete then Tdf_telemetry.incr "mcmf.budget_stops";
       if telemetry && !augmentations > 0 then
         Tdf_telemetry.observe "mcmf.minor_words_per_aug"
@@ -621,9 +534,8 @@ let workspace t =
     t.ws <- Some ws;
     ws
 
-let solve t ~source ~sink ?max_flow ?budget ?variant () =
-  solve_csr (csr t) ~ws:(workspace t) ~source ~sink ?max_flow ?budget ?variant
-    ()
+let solve t ~source ~sink ?max_flow ?budget () =
+  solve_csr (csr t) ~ws:(workspace t) ~source ~sink ?max_flow ?budget ()
 
 let min_cost_flow t ~source ~sink ?max_flow () =
   match solve t ~source ~sink ?max_flow () with

@@ -1,8 +1,12 @@
 (** Generic minimum-cost maximum-flow on directed graphs.
 
-    Successive shortest paths with Johnson potentials (Dijkstra per
-    augmentation); an initial Bellman–Ford pass makes negative edge costs
-    admissible.  This is the textbook solver the paper's §III-A refers to:
+    Successive shortest paths with Johnson potentials and blocking phases:
+    each round runs one Dijkstra on exact integer reduced costs (monotone
+    {!Tdf_util.Heap_radix}), then a DFS pushes flow along every
+    zero-reduced-cost (i.e. shortest) path it can find, so one
+    shortest-path computation feeds many augmentations.  An initial
+    Bellman–Ford pass makes negative edge costs admissible.  This is the
+    exact solver the paper's §III-A refers to:
     with uniform cell widths, legalization reduces exactly to this problem,
     and the library is used by tests and by [examples/uniform_optimal.exe]
     to cross-check 3D-Flow against provably optimal solutions.
@@ -17,15 +21,20 @@
       [int array] fields ([head]/[dst]/[cap]/[cost]/[rev]), the only
       mutable state being the residual capacities (resettable with
       {!Csr.reset_caps} for repeated solves);
-    - {!Workspace} holds the per-solve scratch (dist/prev/potential labels
-      and the monomorphic int-keyed heap), allocated once and reused
-      across {!solve_csr} calls.
+    - {!Workspace} holds the per-solve scratch (dist/prev/potential labels,
+      the radix heap and the DFS cursors), allocated once and reused across
+      {!solve_csr} calls.
 
     The classic staged-graph API ({!create}/{!add_edge}/{!solve}) is kept
     as a thin shim over these layers: it freezes the builder on first
     solve and caches one workspace per graph.  Arc ordering in the frozen
     graph matches staging order, so the CSR solver returns bit-identical
-    [(flow, cost)] to the historical adjacency-list implementation. *)
+    [(flow, cost)] to the historical adjacency-list implementation.
+
+    Max flow is unique and so is the min cost at max flow, but the per-arc
+    split among equal-cost optima follows this engine's arc order:
+    {!flow_on} readings (which bonding-terminal assignment consumes) are
+    pinned by the golden digests, not by optimality. *)
 
 type arc = { a_src : int; a_dst : int; a_cap : int; a_cost : int }
 (** A residual arc, reported in {!error} diagnostics. *)
@@ -95,53 +104,13 @@ end
 module Workspace : sig
   type t
   (** Reusable solver scratch: distance/parent/potential labels, the
-      Dijkstra heaps (binary and radix) and the blocking-phase DFS
-      cursors.  Sized lazily to the largest graph solved with it; sharing
-      one workspace across solves (even of different graphs) changes no
-      results — only allocation. *)
+      Dijkstra radix heap and the blocking-phase DFS cursors.  Sized lazily
+      to the largest graph solved with it; sharing one workspace across
+      solves (even of different graphs) changes no results — only
+      allocation. *)
 
   val create : unit -> t
 end
-
-(** {2 Solver variants}
-
-    Three interchangeable engines behind the same interface, all returning
-    the identical [(flow, cost)] optimum (max flow is unique; min cost at
-    max flow is unique — only per-arc flow splits may differ between
-    variants, so {!flow_on} readings are variant-dependent on ties):
-
-    - [Ssp]: the classic successive-shortest-path loop on the binary
-      {!Tdf_util.Heap_int} — the bit-for-bit reference path;
-    - [Radix]: the same loop on the monotone {!Tdf_util.Heap_radix},
-      exploiting non-negative exact integer reduced costs (O(1) pushes);
-    - [Blocking]: radix Dijkstra plus multi-augmentation — after each
-      potential update a DFS pushes flow along every zero-reduced-cost
-      (i.e. shortest) path it can find, so one SSSP feeds many
-      augmentations.  The default: 3D-Flow's shallow grid graphs make
-      this the asymptotic win at scale 1.0.
-
-    The process default comes from [TDFLOW_SOLVER=ssp|radix|blocking]
-    (unset: [Blocking]) and can be overridden at runtime with
-    {!set_default_variant}; a partial (budget-exhausted) solve's
-    [flow]/[cost] may legitimately differ between variants since they stop
-    at different augmentation boundaries. *)
-
-type variant = Ssp | Radix | Blocking
-
-val variant_name : variant -> string
-
-val variant_of_string : string -> variant option
-(** Case-insensitive; [None] on unknown names. *)
-
-val default_variant : unit -> variant
-(** The variant used when [?variant] is omitted: the
-    {!set_default_variant} override if any, else [TDFLOW_SOLVER], else
-    [Blocking]. *)
-
-val set_default_variant : variant -> unit
-(** Process-wide override, taking precedence over [TDFLOW_SOLVER]; used by
-    cross-variant differential tests to steer call sites that don't thread
-    [?variant]. *)
 
 val solve_csr :
   Csr.t ->
@@ -150,7 +119,6 @@ val solve_csr :
   sink:int ->
   ?max_flow:int ->
   ?budget:Tdf_util.Budget.t ->
-  ?variant:variant ->
   unit ->
   (solution, error) result
 (** Core solver: push up to [max_flow] units along successive shortest
@@ -160,8 +128,7 @@ val solve_csr :
     allocation per augmentation is reported as
     ["mcmf.minor_words_per_aug"].  Per-solve work is surfaced through the
     ["mcmf.arc_scans"] (arcs examined by Dijkstra relaxation and the
-    blocking DFS) and ["mcmf.phases"] (SSSP rounds) counters, which is how
-    the bench measures the asymptotic win of the non-[Ssp] variants. *)
+    blocking DFS) and ["mcmf.phases"] (shortest-path rounds) counters. *)
 
 (** {2 Staged-graph shim} *)
 
@@ -188,7 +155,6 @@ val solve :
   sink:int ->
   ?max_flow:int ->
   ?budget:Tdf_util.Budget.t ->
-  ?variant:variant ->
   unit ->
   (solution, error) result
 (** [solve t ~source ~sink ()] pushes up to [max_flow] (default: as much

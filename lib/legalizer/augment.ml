@@ -1,6 +1,5 @@
 module Grid = Tdf_grid.Grid
 module Heap = Tdf_util.Heap_int
-module Heap_radix = Tdf_util.Heap_radix
 
 type node = { pn_bin : int; pn_flow_in : float; pn_need_out : float }
 
@@ -12,7 +11,6 @@ type state = {
   parent : int array;
   visited : int array;  (* epoch stamp *)
   heap : Heap.t;  (* hoisted search frontier, cleared per search *)
-  rheap : Heap_radix.t;  (* the Config.Radix frontier alternative *)
   mutable epoch : int;
   mutable pops : int;
 }
@@ -29,7 +27,6 @@ let create_state grid =
     parent = Array.make n (-1);
     visited = Array.make n 0;
     heap = Heap.create ();
-    rheap = Heap_radix.create ();
     epoch = 0;
     pops = 0;
   }
@@ -104,44 +101,18 @@ let search ?mask ?probe:pr cfg grid st ~src =
   if sup <= 0. then None
   else begin
     let sels = ref 0 in
-    (* Frontier engine: the binary heap is the deterministic default; the
-       radix frontier (Config.Radix) trades exact pop order among
-       near-tied bins for O(1) pushes — out-of-order keys (negative path
-       costs can regress) are clamped to the extracted min and counted. *)
-    let use_radix = cfg.Config.frontier = Config.Radix in
-    let q = st.heap and rq = st.rheap in
-    let clamps = ref 0 in
-    if use_radix then Heap_radix.clear rq else Heap.clear q;
-    let frontier_add ~key vid =
-      if use_radix then begin
-        if Heap_radix.add_clamped rq ~key vid then incr clamps
-      end
-      else Heap.add q ~key vid
-    in
-    let frontier_empty () =
-      if use_radix then Heap_radix.is_empty rq else Heap.is_empty q
-    in
-    let frontier_pop () =
-      if use_radix then begin
-        let v = Heap_radix.top_value rq in
-        Heap_radix.remove_top rq;
-        v
-      end
-      else begin
-        let v = Heap.top_value q in
-        Heap.remove_top q;
-        v
-      end
-    in
+    let q = st.heap in
+    Heap.clear q;
     st.cost.(src.Grid.id) <- 0.;
     st.flow.(src.Grid.id) <- sup;
     st.parent.(src.Grid.id) <- -1;
     st.visited.(src.Grid.id) <- epoch;
-    frontier_add ~key:0 src.Grid.id;
+    Heap.add q ~key:0 src.Grid.id;
     let best_cost = ref infinity and best_leaf = ref (-1) in
     let rec loop () =
-      if not (frontier_empty ()) then begin
-        let uid = frontier_pop () in
+      if not (Heap.is_empty q) then begin
+        let uid = Heap.top_value q in
+        Heap.remove_top q;
         st.pops <- st.pops + 1;
         (* Each bin is pushed at most once per epoch (visited on push), so
            its exact float cost is the stored label. *)
@@ -185,7 +156,7 @@ let search ?mask ?probe:pr cfg grid st ~src =
                           best_leaf := vid
                         end
                       end
-                      else frontier_add ~key:(micro st.cost.(vid)) vid
+                      else Heap.add q ~key:(micro st.cost.(vid)) vid
                     end
                 end)
               grid.Grid.edges.(uid)
@@ -196,7 +167,6 @@ let search ?mask ?probe:pr cfg grid st ~src =
     loop ();
     Tdf_telemetry.count "flow3d.augment.pops" st.pops;
     if !sels > 0 then Tdf_telemetry.count "flow3d.select.calls" !sels;
-    if !clamps > 0 then Tdf_telemetry.count "flow3d.frontier_clamps" !clamps;
     if !best_leaf < 0 then None
     else begin
       (* Walk parents leaf → root, then reverse. *)

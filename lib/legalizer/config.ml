@@ -1,13 +1,3 @@
-type frontier = Binary | Radix
-
-let frontier_name = function Binary -> "binary" | Radix -> "radix"
-
-let frontier_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "binary" -> Some Binary
-  | "radix" -> Some Radix
-  | _ -> None
-
 type t = {
   alpha : float;
   bin_width_factor : float;
@@ -20,18 +10,7 @@ type t = {
   post_opt : bool;
   post_opt_passes : int;
   max_retries : int;
-  frontier : frontier;
 }
-
-let env_frontier =
-  match Sys.getenv_opt "TDFLOW_FRONTIER" with
-  | None | Some "" -> Binary
-  | Some s -> (
-    match frontier_of_string s with
-    | Some f -> f
-    | None ->
-      invalid_arg
-        (Printf.sprintf "TDFLOW_FRONTIER=%S: expected binary or radix" s))
 
 let default =
   {
@@ -46,7 +25,6 @@ let default =
     post_opt = true;
     post_opt_passes = 3;
     max_retries = 4;
-    frontier = env_frontier;
   }
 
 let no_d2d = { default with d2d_edges = false }

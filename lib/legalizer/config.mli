@@ -4,24 +4,6 @@
     and the w/o-D2D ablation are expressed as configurations of the same
     engine; see {!bonn_emulation} and {!no_d2d}. *)
 
-type frontier =
-  | Binary  (** {!Tdf_util.Heap_int} best-first frontier (the default). *)
-  | Radix
-      (** {!Tdf_util.Heap_radix} frontier with clamped pushes.  The Alg. 1
-          search keys are micro-unit path costs that may be negative and
-          are not strictly monotone across pops, so out-of-order pushes
-          are lifted to the extracted minimum (counted as
-          ["flow3d.frontier_clamps"]).  This reorders pops among near-tied
-          bins: results stay legal and deterministic but are NOT
-          byte-identical to the binary frontier, which is why the default
-          stays [Binary] and the radix frontier is an opt-in
-          ([TDFLOW_FRONTIER=radix]) for throughput experiments. *)
-
-val frontier_name : frontier -> string
-
-val frontier_of_string : string -> frontier option
-(** Case-insensitive; [None] on unknown names. *)
-
 type t = {
   alpha : float;
       (** branch-and-bound slack: branches costlier than
@@ -54,9 +36,6 @@ type t = {
   post_opt_passes : int;  (** number of post-optimization rounds. *)
   max_retries : int;
       (** attempts to resolve one supply bin before declaring it stuck. *)
-  frontier : frontier;
-      (** priority-queue engine of the Alg. 1 search frontier.  [default]
-          honors [TDFLOW_FRONTIER] (unset: [Binary]). *)
 }
 
 val default : t

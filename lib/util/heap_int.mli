@@ -1,9 +1,8 @@
 (** Monomorphic binary min-heap with [int] keys and [int] values.
 
-    The solver hot paths (Dijkstra on reduced costs in [Tdf_flow.Mcmf],
-    the supply queue of Algorithm 2, the best-first search of Algorithm 1)
-    key their queues on integers: reduced costs are exact integers, and
-    float quantities are scaled to micro-units before queueing.  Storing
+    The legalizer hot paths (the supply queue of Algorithm 2, the
+    best-first search of Algorithm 1) key their queues on integers: float
+    quantities are scaled to micro-units before queueing.  Storing
     keys and values in two flat [int array]s keeps every entry unboxed —
     no per-entry record, no float boxing, no [float_of_int]/[int_of_float]
     round-trip (which silently loses exactness above 2{^53}).
@@ -11,9 +10,11 @@
     Insertion-only discipline (decrease-key by reinsertion): a caller that
     lowers a priority simply re-adds the element and skips the stale entry
     on pop, either with a visited mark or by comparing the popped key to
-    the element's current key.  Ties pop in the same order as
-    {!Tdf_util.Heap} (identical sift logic), so migrating a caller from
-    float keys to exact integer keys preserves its traversal order. *)
+    the element's current key.  Ties pop in the same order as the
+    float-keyed binary heap this module replaced (identical sift logic;
+    the test suite keeps that heap as [test/heap.ml] and checks the tie
+    order), so migrating a caller from float keys to exact integer keys
+    preserves its traversal order. *)
 
 type t
 

@@ -90,13 +90,6 @@ let add h ~key value =
   push_bucket h.buckets.(bucket_index h key) ~key value;
   h.size <- h.size + 1
 
-let add_clamped h ~key value =
-  let clamped = key < h.last in
-  let key = if clamped then h.last else key in
-  push_bucket h.buckets.(bucket_index h key) ~key value;
-  h.size <- h.size + 1;
-  clamped
-
 (* Make bucket 0 (keys equal to [last]) nonempty; the heap must not be
    empty.  Adopting the smallest pending key as the new [last] sends every
    minimum entry of the redistributed bucket to bucket 0 and every other

@@ -12,10 +12,7 @@
     the key of the most recently extracted minimum ([min_int] on a fresh
     or {!clear}ed heap, so any first key is fine).  Violations raise
     [Invalid_argument] — loudly, because a violated radix invariant would
-    otherwise return wrong minima silently.  Callers with occasional
-    out-of-order pushes (the legalizer's best-first frontier, whose
-    micro-unit keys may be negative and regress) use {!add_clamped}, which
-    lifts an offending key to [last] and reports the clamp.
+    otherwise return wrong minima silently.
 
     Negative keys are supported; only monotonicity relative to [last]
     matters.  Like [Heap_int], decrease-key is by reinsertion with the
@@ -39,12 +36,6 @@ val last_extracted : t -> int
 val add : t -> key:int -> int -> unit
 (** [add h ~key v] inserts [v] with priority [key] (smaller pops first).
     Raises [Invalid_argument] if [key < last_extracted h]. *)
-
-val add_clamped : t -> key:int -> int -> bool
-(** Like {!add}, but an out-of-order [key] is clamped up to
-    [last_extracted h] instead of raising.  Returns [true] iff the key was
-    clamped, so callers can surface a telemetry counter for the
-    approximation. *)
 
 val top_key : t -> int
 (** Key of the minimum entry.  Raises [Invalid_argument] on an empty

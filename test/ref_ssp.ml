@@ -88,10 +88,10 @@ let min_cost_flow t ~source ~sink ?(max_flow = max_int) () =
   while !continue && !total_flow < max_flow do
     Array.fill dist 0 t.n max_int;
     dist.(source) <- 0;
-    let heap = Tdf_util.Heap.create () in
-    Tdf_util.Heap.add heap ~key:0. source;
+    let heap = Heap.create () in
+    Heap.add heap ~key:0. source;
     let rec run () =
-      match Tdf_util.Heap.pop heap with
+      match Heap.pop heap with
       | None -> ()
       | Some (d, v) ->
         let d = int_of_float d in
@@ -104,7 +104,7 @@ let min_cost_flow t ~source ~sink ?(max_flow = max_int) () =
                 dist.(e.dst) <- nd;
                 prev_v.(e.dst) <- v;
                 prev_e.(e.dst) <- i;
-                Tdf_util.Heap.add heap ~key:(float_of_int nd) e.dst
+                Heap.add heap ~key:(float_of_int nd) e.dst
               end
             end
           done

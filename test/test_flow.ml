@@ -164,10 +164,87 @@ let test_negative_self_loop_is_cycle () =
       (List.exists (fun (a : M.arc) -> a.M.a_cost = -3) arcs)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: CSR solver vs the seed SSP implementation             *)
+(* Optimality certificate                                              *)
 (* ------------------------------------------------------------------ *)
 
-let all_variants = [ M.Ssp; M.Radix; M.Blocking ]
+(* Certifies a reported min-cost max-flow from the staged edge list and the
+   per-edge flows alone, sharing no code with Mcmf: capacity bounds,
+   conservation, the reported totals, maximality (no residual
+   source->sink path) and minimum cost (no negative residual cycle,
+   found by Bellman–Ford from a virtual root at distance 0 to every
+   vertex). *)
+let certify edges flows n ~source ~sink ~flow ~cost =
+  let arcs = List.combine edges flows in
+  let excess = Array.make n 0 and total_cost = ref 0 in
+  List.iter
+    (fun ((s, d, _, c), f) ->
+      excess.(s) <- excess.(s) - f;
+      excess.(d) <- excess.(d) + f;
+      total_cost := !total_cost + (c * f))
+    arcs;
+  let residual =
+    List.concat_map
+      (fun ((s, d, cap, c), f) ->
+        (if f < cap then [ (s, d, c) ] else [])
+        @ if f > 0 then [ (d, s, -c) ] else [])
+      arcs
+  in
+  let reaches_sink () =
+    let seen = Array.make n false and changed = ref true in
+    seen.(source) <- true;
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (u, v, _) ->
+          if seen.(u) && not seen.(v) then begin
+            seen.(v) <- true;
+            changed := true
+          end)
+        residual
+    done;
+    seen.(sink)
+  in
+  (* Without a negative cycle, n - 1 rounds settle every distance; a
+     relaxation in round n proves one exists. *)
+  let negative_cycle () =
+    let dist = Array.make n 0 and rounds = ref 0 and changed = ref true in
+    while !changed && !rounds < n do
+      changed := false;
+      incr rounds;
+      List.iter
+        (fun (u, v, c) ->
+          if dist.(u) + c < dist.(v) then begin
+            dist.(v) <- dist.(u) + c;
+            changed := true
+          end)
+        residual
+    done;
+    !changed
+  in
+  let over_cap =
+    List.find_opt (fun ((_, _, cap, _), f) -> f < 0 || f > cap) arcs
+  and unbalanced =
+    List.find_opt
+      (fun v -> v <> source && v <> sink && excess.(v) <> 0)
+      (List.init n Fun.id)
+  in
+  match (over_cap, unbalanced) with
+  | Some ((s, d, cap, _), f), _ ->
+    Error (Printf.sprintf "arc %d->%d carries %d outside [0, %d]" s d f cap)
+  | None, Some v ->
+    Error (Printf.sprintf "vertex %d has excess %d" v excess.(v))
+  | None, None when !total_cost <> cost ->
+    Error (Printf.sprintf "sum cost*f = %d, reported %d" !total_cost cost)
+  | None, None when -excess.(source) <> flow ->
+    Error
+      (Printf.sprintf "source outflow %d, reported %d" (-excess.(source)) flow)
+  | None, None when reaches_sink () -> Error "residual source->sink path left"
+  | None, None when negative_cycle () -> Error "negative residual cycle left"
+  | None, None -> Ok ()
+
+(* ------------------------------------------------------------------ *)
+(* Differential: CSR solver vs the seed SSP implementation             *)
+(* ------------------------------------------------------------------ *)
 
 let ref_min_cost_flow edges n ~source ~sink =
   let r = Ref_ssp.create n in
@@ -177,30 +254,33 @@ let ref_min_cost_flow edges n ~source ~sink =
     edges;
   Ref_ssp.min_cost_flow r ~source ~sink ()
 
-let solve_variant variant edges n ~source ~sink =
+(* Solve on a fresh CSR graph and certify the per-arc flows. *)
+let solve_certified edges n ~source ~sink =
   let b = M.Builder.create n in
-  List.iter
-    (fun (src, dst, cap, cost) ->
-      ignore (M.Builder.add_edge b ~src ~dst ~cap ~cost))
-    edges;
+  let handles =
+    List.map
+      (fun (src, dst, cap, cost) -> M.Builder.add_edge b ~src ~dst ~cap ~cost)
+      edges
+  in
   let g = M.Csr.of_builder b in
   let ws = M.Workspace.create () in
-  match M.solve_csr g ~ws ~source ~sink ~variant () with
-  | Ok s -> (s.M.flow, s.M.cost)
-  | Error _ -> (min_int, min_int)
+  match M.solve_csr g ~ws ~source ~sink () with
+  | Error e -> Error (M.error_to_string e)
+  | Ok { M.flow; cost; _ } ->
+    certify edges (List.map (M.Csr.flow_on g) handles) n ~source ~sink ~flow
+      ~cost
+    |> Result.map (fun () -> (flow, cost))
 
-(* Every solver variant must reproduce the seed SSP's (flow, cost) exactly:
-   max flow is unique, and so is the min cost at max flow, even where
-   per-arc flow splits differ. *)
+(* The solver must reproduce the seed SSP's (flow, cost) exactly — max flow
+   is unique, and so is the min cost at max flow — and its per-arc flows
+   must pass the certificate. *)
 let check_against_ref ~what edges n ~source ~sink =
   let rflow, rcost = ref_min_cost_flow edges n ~source ~sink in
-  List.iter
-    (fun variant ->
-      let flow, cost = solve_variant variant edges n ~source ~sink in
-      let tag = what ^ " [" ^ M.variant_name variant ^ "]" in
-      Alcotest.(check int) (tag ^ ": flow matches seed") rflow flow;
-      Alcotest.(check int) (tag ^ ": cost matches seed") rcost cost)
-    all_variants
+  match solve_certified edges n ~source ~sink with
+  | Error e -> Alcotest.failf "%s: %s" what e
+  | Ok (flow, cost) ->
+    Alcotest.(check int) (what ^ ": flow matches seed") rflow flow;
+    Alcotest.(check int) (what ^ ": cost matches seed") rcost cost
 
 (* >= 200 seeded random graphs on the in-repo property harness.  Half
    allow cycles (non-negative costs, self-loops and parallel edges
@@ -253,15 +333,11 @@ let rand_graph_arb =
       { rg_n = n; rg_edges = List.rev !edges })
 
 let prop_differential_random =
-  Props.test "differential vs seed SSP (400 random, all variants)" ~count:400
+  Props.test "differential vs seed SSP (400 random, certified)" ~count:400
     rand_graph_arb (fun g ->
       let source = 0 and sink = g.rg_n - 1 in
-      let rflow, rcost = ref_min_cost_flow g.rg_edges g.rg_n ~source ~sink in
-      List.for_all
-        (fun variant ->
-          (rflow, rcost)
-          = solve_variant variant g.rg_edges g.rg_n ~source ~sink)
-        all_variants)
+      solve_certified g.rg_edges g.rg_n ~source ~sink
+      = Ok (ref_min_cost_flow g.rg_edges g.rg_n ~source ~sink))
 
 (* Transportation network shaped like the paper's legalization bin graphs
    (the generator the solver microbenchmark uses): source -> supply bins
@@ -305,7 +381,7 @@ let test_differential_benchmark_graphs () =
     [ (8, 8, 2, 1); (24, 24, 4, 42); (40, 32, 6, 7); (64, 64, 5, 11) ]
 
 (* ------------------------------------------------------------------ *)
-(* Adversarial differential families (all solver variants vs seed SSP)  *)
+(* Adversarial differential families (seed SSP oracle + certificate)    *)
 (* ------------------------------------------------------------------ *)
 
 (* Complete bipartite supply/demand coupling: every supply reaches every
@@ -372,9 +448,9 @@ let test_differential_long_chain_grids () =
     [ (1, 120, 4); (2, 60, 8); (3, 40, 15); (4, 25, 23) ]
 
 (* Bundles of zero-cost parallel arcs: every augmenting path is a tie, so
-   any tie-order divergence between the heaps must still land on the same
-   (flow, cost); also exercises zero-length plateaus in the blocking DFS
-   (and its cycle avoidance, via the zero-cost back arcs). *)
+   the radix heap's tie order must still land on the seed's (flow, cost);
+   also exercises zero-length plateaus in the blocking DFS (and its cycle
+   avoidance, via the zero-cost back arcs). *)
 let test_differential_zero_cost_parallel () =
   List.iter
     (fun seed ->
@@ -559,15 +635,15 @@ let suite =
     prop_differential_random;
     Alcotest.test_case "differential vs seed SSP (transportation)" `Quick
       test_differential_benchmark_graphs;
-    Alcotest.test_case "differential: dense bipartite (all variants)" `Quick
+    Alcotest.test_case "differential: dense bipartite (all verified)" `Quick
       test_differential_dense_bipartite;
-    Alcotest.test_case "differential: long-chain grids (all variants)" `Quick
+    Alcotest.test_case "differential: long-chain grids (all verified)" `Quick
       test_differential_long_chain_grids;
-    Alcotest.test_case "differential: zero-cost parallel arcs (all variants)"
+    Alcotest.test_case "differential: zero-cost parallel arcs (all verified)"
       `Quick test_differential_zero_cost_parallel;
-    Alcotest.test_case "differential: near-max micro costs (all variants)"
+    Alcotest.test_case "differential: near-max micro costs (all verified)"
       `Quick test_differential_near_max_micro_costs;
-    Alcotest.test_case "differential: disconnected supply (all variants)"
+    Alcotest.test_case "differential: disconnected supply (all verified)"
       `Quick test_differential_disconnected_supply;
     Alcotest.test_case "workspace reuse determinism" `Quick
       test_workspace_reuse_determinism;

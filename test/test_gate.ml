@@ -4,7 +4,7 @@
 module Json = Tdf_telemetry.Json
 module Gate = Tdf_gate.Gate
 
-let solver_file ?(variants_agree = true) cases =
+let solver_file cases =
   Json.Obj
     [
       ("generated_by", Json.String "test");
@@ -19,10 +19,6 @@ let solver_file ?(variants_agree = true) cases =
                    ("cost", Json.Int cost);
                    ("solve_s", Json.Float solve_s);
                    ("repeat_reuse_s", Json.Float reuse_s);
-                   ("variants_agree", Json.Bool variants_agree);
-                   ("ssp_solve_s", Json.Float solve_s);
-                   ("radix_solve_s", Json.Float solve_s);
-                   ("blocking_solve_s", Json.Float solve_s);
                  ])
              cases) );
     ]
@@ -72,9 +68,7 @@ let test_drift_fails_despite_slack () =
   let cur = solver_file [ ("small", 90, 140, 0.01, 0.1) ] in
   check_fail "flow drift" (run ~max_regression:100. ~baseline:base_solver ~current:cur ());
   let cur = solver_file [ ("small", 89, 139, 0.01, 0.1) ] in
-  check_fail "cost drift" (run ~max_regression:100. ~baseline:base_solver ~current:cur ());
-  let cur = solver_file ~variants_agree:false [ ("small", 89, 140, 0.01, 0.1) ] in
-  check_fail "variant disagreement"
+  check_fail "cost drift"
     (run ~max_regression:100. ~baseline:base_solver ~current:cur ())
 
 let test_inject_slowdown_fails () =

@@ -122,7 +122,7 @@ let hottest g =
    paths keeps the clones diverging.  A cache held by the searcher and
    validated by such counts (copied on clone) fails here. *)
 let test_shared_state_across_clones () =
-  let cfg = { Config.default with Config.frontier = Config.Binary } in
+  let cfg = Config.default in
   for seed = 0 to 5 do
     let d = Fixtures.random ~n:150 seed in
     let n = Design.n_cells d in

@@ -26,7 +26,6 @@ let () =
       ("tile", Test_tile.suite);
       ("determinism", Test_determinism.suite);
       ("golden", Test_golden.suite);
-      ("scale", Test_scale.suite);
       ("integration", Test_integration.suite);
       ("incremental", Test_incremental.suite);
       ("server", Test_server.suite);

@@ -1,5 +1,4 @@
 module Prng = Tdf_util.Prng
-module Heap = Tdf_util.Heap
 module Stats = Tdf_util.Stats
 
 let test_prng_deterministic () =
@@ -248,8 +247,8 @@ module Heap_radix = Tdf_util.Heap_radix
 
 (* The radix heap against the same sorted-multiset model, plus its monotone
    contract: once a minimum was extracted, a smaller {!Heap_radix.add} must
-   raise (loud invariant), {!Heap_radix.add_clamped} must lift the key to
-   the floor and report it, and pops never go below the floor.  The op
+   raise (loud invariant) and leave the heap untouched, and pops never go
+   below the floor.  The op
    stream reuses {!heap_op_arb}, so out-of-order pushes (keys in [-50, 50]
    against a rising floor), duplicate priorities and decrease-key-by-
    reinsertion interleavings all occur and shrink with TDFLOW_PROP_SEED
@@ -283,9 +282,7 @@ let prop_heap_radix_model =
               | () -> false
               | exception Invalid_argument _ -> true
             in
-            let clamped = Heap_radix.add_clamped h ~key:k v in
-            model := (!floor, v) :: !model;
-            raised && clamped && Heap_radix.length h = List.length !model
+            raised && Heap_radix.length h = List.length !model
           | Add (k, v) ->
             Heap_radix.add h ~key:k v;
             model := (k, v) :: !model;
@@ -317,17 +314,15 @@ let test_heap_radix_monotone_violation () =
   Alcotest.(check (pair int int))
     "min first" (3, 30)
     (Option.get (Heap_radix.pop h));
-  (* floor is now 3: going below must raise, clamping must lift to 3 *)
+  (* floor is now 3: going below must raise; equal keys are still legal *)
   Alcotest.check_raises "below-floor add raises"
     (Invalid_argument
        "Heap_radix.add: monotone violation (key below extracted min)")
     (fun () -> Heap_radix.add h ~key:2 20);
-  Alcotest.(check bool) "clamp reported" true (Heap_radix.add_clamped h ~key:2 20);
-  Alcotest.(check bool)
-    "legal add_clamped does not clamp" false
-    (Heap_radix.add_clamped h ~key:7 70);
+  Heap_radix.add h ~key:7 70;
+  Heap_radix.add h ~key:3 31;
   Alcotest.(check (pair int int))
-    "clamped entry popped at floor" (3, 20)
+    "key at the floor pops first" (3, 31)
     (Option.get (Heap_radix.pop h));
   Alcotest.(check (pair int int))
     "then original entry" (5, 50)

@@ -65,25 +65,6 @@ let solver_probes =
       p_kind = Time;
       p_read = float_field "repeat_reuse_s";
     };
-    (* The bench asserts every engine variant reproduces the default run's
-       (flow, cost) before emitting this bit, so Exact here re-pins the
-       cross-variant agreement in CI. *)
-    {
-      p_name = "variants_agree";
-      p_kind = Exact;
-      p_read = (fun j -> if bool_field "variants_agree" j then 1. else 0.);
-    };
-    { p_name = "ssp_solve_s"; p_kind = Time; p_read = float_field "ssp_solve_s" };
-    {
-      p_name = "radix_solve_s";
-      p_kind = Time;
-      p_read = float_field "radix_solve_s";
-    };
-    {
-      p_name = "blocking_solve_s";
-      p_kind = Time;
-      p_read = float_field "blocking_solve_s";
-    };
   ]
 
 let serve_probes =
