@@ -410,6 +410,136 @@ let test_digest_drift_detected () =
   | exception Server.Recovery_error e ->
     Alcotest.failf "wrong recovery error: %s" (Server.recovery_error_to_string e)
 
+(* A fixed load/legalize/eco/evict sequence pins the byte format of every
+   wal record (by CRC-32), then recovery must replay all four record kinds
+   to the placement the dead daemon served.  Tiles and jobs are
+   process-wide knobs that requests set, so they are restored after. *)
+let test_journal_format_and_replay () =
+  let dir = tmpdir "format" in
+  let cfg name =
+    { (journaled_cfg name dir) with Server.max_sessions = 1 }
+  in
+  let tiles0 = Tdf_legalizer.Tile.tiles () and jobs0 = Tdf_par.jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tdf_legalizer.Tile.set_tiles tiles0;
+      Tdf_par.set_jobs jobs0)
+    (fun () ->
+      let server = Server.create (cfg "fmt1") in
+      let d, p = fixture 89 in
+      let load session tiles =
+        Server.handle server
+          (Protocol.Load_design
+             {
+               session;
+               design = Protocol.Text (Text.design_to_string d);
+               placement = Some (Protocol.Text (Text.placement_to_string d p));
+               tiles;
+             })
+      in
+      let legalize session jobs =
+        Server.handle server
+          (Protocol.Legalize
+             { session; budget_ms = None; jobs; tiles = None; want_placement = false })
+      in
+      let eco session tiles delta =
+        Server.handle server
+          (Protocol.Eco
+             {
+               session;
+               delta = Protocol.Text delta;
+               radius = None;
+               max_widenings = None;
+               budget_ms = None;
+               jobs = None;
+               tiles;
+               want_placement = false;
+             })
+      in
+      expect_ok "load s1" (load "s1" (Some 2));
+      expect_ok "legalize s1" (legalize "s1" (Some 1));
+      expect_ok "eco s1" (eco "s1" None "move 3 10 10 0\n");
+      (match eco "s1" None "move 9999 10 10 0\n" with
+      | Error { Protocol.code = "invalid-delta"; _ } -> ()
+      | _ -> Alcotest.fail "out-of-range eco was not rejected");
+      expect_ok "load s2 (evicts s1)" (load "s2" None);
+      expect_ok "eco s2" (eco "s2" (Some 1) "move 7 60 20 1\n");
+      expect_ok "legalize s2" (legalize "s2" None);
+      let before = placement_text server ~session:"s2" in
+      Server.crash server;
+      let j, r = open_exn (Journal.default_cfg ~dir) in
+      Journal.close j;
+      let ops =
+        List.map
+          (fun (_, payload) ->
+            match Tdf_telemetry.Json.of_string payload with
+            | Ok doc ->
+              Option.bind (Tdf_telemetry.Json.member "op" doc)
+                Tdf_telemetry.Json.to_str
+              |> Option.value ~default:"?"
+            | Error e -> Alcotest.failf "wal record is not JSON: %s" e)
+          r.Journal.records
+      in
+      Alcotest.(check (list string))
+        "wal record kinds"
+        [ "load"; "legalize"; "eco"; "evict"; "load"; "eco"; "legalize" ]
+        ops;
+      let crcs =
+        List.map (fun (_, payload) -> Crc32.to_hex (Crc32.string payload))
+          r.Journal.records
+      in
+      Alcotest.(check (list string))
+        "wal payload CRCs"
+        [
+          "ceb6929a"; "bfb0d6ee"; "ec2e99cb"; "909eb4cb"; "cf0e1453"; "4bc44047";
+          "bdc1f135";
+        ]
+        crcs;
+      let server = Server.create (cfg "fmt2") in
+      Fun.protect
+        ~finally:(fun () -> Server.close server)
+        (fun () ->
+          (match Server.recovery server with
+          | Some r -> check_int "one session recovered" 1 r.Server.recovered_sessions
+          | None -> Alcotest.fail "no recovery stats");
+          check_str "s2 placement bytes identical" before
+            (placement_text server ~session:"s2");
+          match Server.handle server (Protocol.Get_placement { session = "s1" }) with
+          | Error { Protocol.code = "unknown-session"; _ } -> ()
+          | _ -> Alcotest.fail "evicted session s1 came back"))
+
+(* A snapshot blob as written before snapshots became load records —
+   {"design","placement","digest"}, no "op" — still restores. *)
+let test_legacy_snapshot_blob_restores () =
+  let dir = tmpdir "legacysnap" in
+  let d, p = fixture 97 in
+  let digest =
+    Tdf_incremental.Eco.Session.state_digest
+      (Tdf_incremental.Eco.Session.create d p)
+  in
+  let module Json = Tdf_telemetry.Json in
+  let blob =
+    Json.to_string
+      (Json.Obj
+         [
+           ("design", Json.String (Text.design_to_string d));
+           ("placement", Json.String (Text.placement_to_string d p));
+           ("digest", Json.String digest);
+         ])
+  in
+  let j, _ = open_exn (Journal.default_cfg ~dir) in
+  Journal.save_snapshot j ~session:"old" blob;
+  Journal.close j;
+  let server = Server.create (journaled_cfg "legacy" dir) in
+  Fun.protect
+    ~finally:(fun () -> Server.close server)
+    (fun () ->
+      (match Server.recovery server with
+      | Some r -> check_int "snapshot restored" 1 r.Server.recovered_sessions
+      | None -> Alcotest.fail "no recovery stats");
+      check_str "restored placement" (Text.placement_to_string d p)
+        (placement_text server ~session:"old"))
+
 (* ---- property fuzzing ------------------------------------------------ *)
 
 let payload_arb =
@@ -503,6 +633,10 @@ let suite =
       test_snapshot_plus_suffix_recovery;
     Alcotest.test_case "journaled digest drift is a typed startup error"
       `Quick test_digest_drift_detected;
+    Alcotest.test_case "wal record format pinned; every record kind replays"
+      `Quick test_journal_format_and_replay;
+    Alcotest.test_case "parent-shape snapshot blob restores" `Quick
+      test_legacy_snapshot_blob_restores;
     Props.test ~count:30 "journal: append/reopen identity" payloads_arb
       prop_append_reopen_identity;
     Props.test ~count:30 "journal: any truncation yields a clean prefix"
