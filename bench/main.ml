@@ -15,12 +15,12 @@
      TDFLOW_PAR_SCALE  case scale for the parallel sweep (default 0.05)
      TDFLOW_ECO_ONLY  run only the incremental-ECO benchmark and exit
      TDFLOW_SKIP_ECO  set to skip the incremental-ECO benchmark
-     TDFLOW_ECO_SCALE  case scale for the ECO benchmark (default 0.05)
      TDFLOW_SERVE_ONLY  run only the serve-daemon benchmark and exit
-     TDFLOW_SKIP_SERVE  set to skip the serve-daemon benchmark
-     TDFLOW_SERVE_SCALE  case scale for the serve benchmark (default 0.05)
-     TDFLOW_SERVE_ECOS  warm ECO requests to stream (default 120)
-     TDFLOW_SERVE_COLD  cold one-shot CLI invocations to chain (default 20) *)
+
+   The ECO and serve benchmarks run iccad2023/case2 at scale 0.05 (the
+   serve one streams 120 warm ECOs and chains the first 20 through the
+   one-shot CLI), and the design-choice ablations always run: that is the
+   shape the ci/baselines files were recorded at. *)
 
 open Bechamel
 
@@ -468,11 +468,7 @@ let eco_delta ~rng ~design ~(prev : Tdf_netlist.Placement.t) ~k =
   List.rev !ops
 
 let run_eco_bench () =
-  let escale =
-    match Sys.getenv_opt "TDFLOW_ECO_SCALE" with
-    | Some s -> (try float_of_string s with _ -> 0.05)
-    | None -> 0.05
-  in
+  let escale = 0.05 in
   Printf.printf
     "== incremental ECO re-legalization (iccad2023 case2, scale %.3g) ==\n"
     escale;
@@ -633,21 +629,7 @@ let read_file path =
   s
 
 let run_serve_bench () =
-  let sscale =
-    match Sys.getenv_opt "TDFLOW_SERVE_SCALE" with
-    | Some s -> (try float_of_string s with _ -> 0.05)
-    | None -> 0.05
-  in
-  let n_ecos =
-    match Option.bind (Sys.getenv_opt "TDFLOW_SERVE_ECOS") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> 120
-  in
-  let n_cold =
-    match Option.bind (Sys.getenv_opt "TDFLOW_SERVE_COLD") int_of_string_opt with
-    | Some n when n > 0 -> min n n_ecos
-    | _ -> min 20 n_ecos
-  in
+  let sscale = 0.05 and n_ecos = 120 and n_cold = 20 in
   Printf.printf
     "== serve daemon (iccad2023 case2, scale %.3g, %d warm ecos, %d cold) ==\n"
     sscale n_ecos n_cold;
@@ -976,7 +958,7 @@ let () =
   if Sys.getenv_opt "TDFLOW_SOLVER_ONLY" <> None then exit 0;
   if Sys.getenv_opt "TDFLOW_SKIP_PARALLEL" = None then run_parallel_bench ();
   if Sys.getenv_opt "TDFLOW_SKIP_ECO" = None then run_eco_bench ();
-  if Sys.getenv_opt "TDFLOW_SKIP_SERVE" = None then run_serve_bench ();
+  run_serve_bench ();
   Printf.printf "== 3D-Flow reproduction run (scale %.3g) ==\n\n" scale;
   if Sys.getenv_opt "TDFLOW_SKIP_MICRO" = None then run_micro ();
   (* Aggregating telemetry sink over the reproduction run proper (the
@@ -1026,30 +1008,28 @@ let () =
     Tdf_experiments.Figures.fig8 ~scale ~dir:out_dir ()
   in
   Printf.printf "Fig. 8 visualizations written to %s and %s\n" no_d2d_svg ours_svg;
-  if Sys.getenv_opt "TDFLOW_SKIP_ABLATIONS" = None then begin
-    print_newline ();
-    print_endline "== design-choice ablations (ICCAD 2023 case3) ==";
-    let design =
-      Tdf_benchgen.Gen.generate_by_name ~scale:(Float.min scale 0.05)
-        Tdf_benchgen.Spec.Iccad2023 "case3"
-    in
-    print_string
-      (Tdf_experiments.Ablations.render
-         ~title:"Ablation: branch-and-bound slack alpha (§III-B)"
-         (Tdf_experiments.Ablations.sweep_alpha design));
-    print_string
-      (Tdf_experiments.Ablations.render
-         ~title:"Ablation: bin width w_v (§III-F)"
-         (Tdf_experiments.Ablations.sweep_bin_width design));
-    print_string
-      (Tdf_experiments.Ablations.render
-         ~title:"Ablation: D2D edge pricing (Eq. 7 + base cost)"
-         (Tdf_experiments.Ablations.sweep_d2d_cost design));
-    print_string
-      (Tdf_experiments.Ablations.render
-         ~title:"Ablation: cycle-canceling post-optimization rounds (§III-E)"
-         (Tdf_experiments.Ablations.sweep_post_opt design))
-  end;
+  print_newline ();
+  print_endline "== design-choice ablations (ICCAD 2023 case3) ==";
+  let design =
+    Tdf_benchgen.Gen.generate_by_name ~scale:(Float.min scale 0.05)
+      Tdf_benchgen.Spec.Iccad2023 "case3"
+  in
+  print_string
+    (Tdf_experiments.Ablations.render
+       ~title:"Ablation: branch-and-bound slack alpha (§III-B)"
+       (Tdf_experiments.Ablations.sweep_alpha design));
+  print_string
+    (Tdf_experiments.Ablations.render
+       ~title:"Ablation: bin width w_v (§III-F)"
+       (Tdf_experiments.Ablations.sweep_bin_width design));
+  print_string
+    (Tdf_experiments.Ablations.render
+       ~title:"Ablation: D2D edge pricing (Eq. 7 + base cost)"
+       (Tdf_experiments.Ablations.sweep_d2d_cost design));
+  print_string
+    (Tdf_experiments.Ablations.render
+       ~title:"Ablation: cycle-canceling post-optimization rounds (§III-E)"
+       (Tdf_experiments.Ablations.sweep_post_opt design));
   (* One bonding-terminal assignment exercises the MCMF substrate so its
      counters (augmentations, Dijkstra pops, relaxations) appear in the
      telemetry dump alongside the legalizer phases. *)

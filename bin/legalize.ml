@@ -12,6 +12,7 @@
      legalize version  — print the version string *)
 
 open Cmdliner
+module Loader = Tdf_io.Loader
 
 let design_arg =
   let doc = "Design file (tdflow text format, see lib/io/text.ml)." in
@@ -159,63 +160,26 @@ let with_telemetry opts f =
         tr);
   if !write_failed then exit 1
 
-(* Parser errors carry "line N: ..."; rewrite them into the conventional
-   file:line: message shape so editors and CI logs can jump to the spot. *)
-let parse_diagnostic path msg =
-  let default () = Printf.sprintf "%s: %s" path msg in
-  if String.length msg > 5 && String.sub msg 0 5 = "line " then
-    match String.index_opt msg ':' with
-    | Some i -> (
-      match int_of_string_opt (String.sub msg 5 (i - 5)) with
-      | Some n ->
-        Printf.sprintf "%s:%d:%s" path n
-          (String.sub msg (i + 1) (String.length msg - i - 1))
-      | None -> default ())
-    | None -> default ()
-  else default ()
-
 (* Designs load from either the native text format or the contest dialect;
    the first keyword disambiguates. *)
 let load_design path =
-  try
-  let is_contest =
-    (* first non-empty, non-comment keyword decides the dialect *)
-    let ic = open_in path in
-    let rec first_keyword () =
-      match input_line ic with
-      | exception End_of_file -> ""
-      | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then first_keyword ()
-        else (match String.index_opt line ' ' with
-             | Some i -> String.sub line 0 i
-             | None -> line)
-    in
-    let kw = first_keyword () in
-    close_in ic;
-    List.mem kw [ "NumTechnologies"; "Tech"; "DieSize" ]
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "legalize: %s\n" msg;
+      exit 2
   in
-  let result =
-    if is_contest then
-      match Tdf_io.Contest.load path with
-      | Ok (d, _) -> Ok d
-      | Error e -> Error e
-    else Tdf_io.Text.load_design path
-  in
-  match result with
+  match Loader.design ~path text with
   | Ok d -> d
   | Error e ->
-    Printf.eprintf "legalize: %s\n" (parse_diagnostic path e);
-    exit 2
-  with Sys_error msg ->
-    Printf.eprintf "legalize: %s\n" msg;
+    Printf.eprintf "legalize: %s\n" e;
     exit 2
 
 let load_placement design path =
   match Tdf_io.Text.load_placement path design with
   | Ok p -> p
   | Error e ->
-    Printf.eprintf "legalize: %s\n" (parse_diagnostic path e);
+    Printf.eprintf "legalize: %s\n" (Loader.diagnostic ~path e);
     exit 2
 
 let suite_conv =
@@ -502,16 +466,20 @@ let tables_cmd =
   let run () which scale tele =
     with_telemetry tele @@ fun () ->
     let t2 () = print_string (Tdf_experiments.Tables.table2 ~scale ()) in
-    let suite s = Tdf_experiments.Runner.run_suite ~scale s in
+    (* Each suite is legalized at most once: Table III/IV and Fig. 7 are
+       two views of the same runs. *)
+    let suite s = lazy (Tdf_experiments.Runner.run_suite ~scale s) in
+    let iccad2022 = suite Tdf_benchgen.Spec.Iccad2022 in
+    let iccad2023 = suite Tdf_benchgen.Spec.Iccad2023 in
     let t3 () =
       print_string
         (Tdf_experiments.Tables.comparison ~title:"TABLE III (ICCAD 2022)"
-           (suite Tdf_benchgen.Spec.Iccad2022))
+           (Lazy.force iccad2022))
     in
     let t4 () =
       print_string
         (Tdf_experiments.Tables.comparison ~title:"TABLE IV (ICCAD 2023)"
-           (suite Tdf_benchgen.Spec.Iccad2023))
+           (Lazy.force iccad2023))
     in
     let t5 () =
       let r =
@@ -525,10 +493,10 @@ let tables_cmd =
     let f7 () =
       print_string
         (Tdf_experiments.Figures.fig7 ~title:"FIG 7(a) ICCAD 2022"
-           (suite Tdf_benchgen.Spec.Iccad2022));
+           (Lazy.force iccad2022));
       print_string
         (Tdf_experiments.Figures.fig7 ~title:"FIG 7(b) ICCAD 2023"
-           (suite Tdf_benchgen.Spec.Iccad2023))
+           (Lazy.force iccad2023))
     in
     let scaling () =
       print_string
@@ -655,7 +623,7 @@ let eco_cmd =
       match Tdf_io.Delta.load delta_path with
       | Ok d -> d
       | Error e ->
-        Printf.eprintf "legalize: %s\n" (parse_diagnostic delta_path e);
+        Printf.eprintf "legalize: %s\n" (Loader.diagnostic ~path:delta_path e);
         exit 2
     in
     let cfg =
@@ -1121,7 +1089,7 @@ let import_cmd =
       match Tdf_def_lef.Lef.load lef_path with
       | Ok l -> l
       | Error e ->
-        Printf.eprintf "legalize: %s\n" (parse_diagnostic lef_path e);
+        Printf.eprintf "legalize: %s\n" (Loader.diagnostic ~path:lef_path e);
         exit 2
     in
     let defs =
@@ -1130,7 +1098,7 @@ let import_cmd =
           match Tdf_def_lef.Def.load p with
           | Ok d -> d
           | Error e ->
-            Printf.eprintf "legalize: %s\n" (parse_diagnostic p e);
+            Printf.eprintf "legalize: %s\n" (Loader.diagnostic ~path:p e);
             exit 2)
         def_paths
     in

@@ -1,9 +1,9 @@
 module Frame = Tdf_io.Frame
 module Protocol = Tdf_io.Protocol
 module Text = Tdf_io.Text
-module Contest = Tdf_io.Contest
 module Delta = Tdf_io.Delta
 module Journal = Tdf_io.Journal
+module Loader = Tdf_io.Loader
 module Json = Tdf_telemetry.Json
 module Eco = Tdf_incremental.Eco
 module Tile = Tdf_legalizer.Tile
@@ -128,7 +128,6 @@ type t = {
   mutable tick : int;
   started_ns : int64;
   mutable journal : Journal.t option;
-  mutable replaying : bool;  (** recovery replay: suppress re-journaling *)
   mutable records_since_snapshot : int;
   mutable pending_count : int;  (** queued [Exec] frames across all conns *)
   mutable recovery : recovery_stats option;
@@ -157,24 +156,97 @@ let drop_sessions t =
 
 let recovery t = t.recovery
 
-(* ---- journaling ------------------------------------------------------ *)
+(* ---- mutations and their journal records ----------------------------- *)
 
-let session_blob s =
-  let design = Eco.Session.design s.sess in
-  Json.to_string
-    (Json.Obj
-       ([
+(* A session-mutating request with every knob resolved: the budget after
+   the deadline cap, the radius and widening defaults, the session's
+   tiling where the request named none.  It is what a live request runs,
+   what its journal record holds and what recovery re-runs, so there is
+   one way to apply a mutation and one way to record it.  The type index
+   is what {!apply} hands back for the live reply. *)
+type _ mutation =
+  | Load : {
+      design : Design.t;
+      placement : Placement.t;
+      tiles : int option;
+    }
+      -> unit mutation
+  | Legalize : {
+      budget_ms : int option;
+      jobs : int option;
+      tiles : int option;
+    }
+      -> Pipeline.report mutation
+  | Eco_delta : {
+      delta : Delta.t;
+      radius : int;
+      max_widenings : int;
+      budget_ms : int option;
+      jobs : int option;
+      tiles : int option;
+    }
+      -> Eco.result_t mutation
+
+(* What a journal record does to its session. *)
+type op = Apply : _ mutation -> op | Evict
+
+let budget_of : type a. a mutation -> int option = function
+  | Load _ -> None
+  | Legalize { budget_ms; _ } -> budget_ms
+  | Eco_delta { budget_ms; _ } -> budget_ms
+
+(* The one writer of journal records and snapshot blobs.  A load is
+   journaled as canonical native text whatever dialect arrived: replay
+   has one parser and the digest pins the decoded state. *)
+let encode ~session ?digest op =
+  let knobs ~budget_ms ~jobs ~tiles =
+    List.filter_map
+      (fun (name, v) -> Option.map (fun v -> (name, Json.Int v)) v)
+      [ ("budget_ms", budget_ms); ("jobs", jobs); ("tiles", tiles) ]
+  in
+  let name, fields =
+    match op with
+    | Evict -> ("evict", [])
+    | Apply (Load { design; placement; tiles }) ->
+      ( "load",
+        [
           ("design", Json.String (Text.design_to_string design));
           ( "placement",
-            Json.String
-              (Text.placement_to_string design (Eco.Session.placement s.sess))
-          );
-          ("digest", Json.String (Eco.Session.state_digest s.sess));
+            Json.String (Text.placement_to_string design placement) );
         ]
-       @
-       match Eco.Session.tiles s.sess with
-       | Some k -> [ ("tiles", Json.Int k) ]
-       | None -> []))
+        @ knobs ~budget_ms:None ~jobs:None ~tiles )
+    | Apply (Legalize { budget_ms; jobs; tiles }) ->
+      ("legalize", knobs ~budget_ms ~jobs ~tiles)
+    | Apply (Eco_delta { delta; radius; max_widenings; budget_ms; jobs; tiles })
+      ->
+      ( "eco",
+        [
+          ("delta", Json.String (Delta.to_string delta));
+          ("radius", Json.Int radius);
+          ("max_widenings", Json.Int max_widenings);
+        ]
+        @ knobs ~budget_ms ~jobs ~tiles )
+  in
+  let digest = Option.map (fun d -> ("digest", Json.String d)) digest in
+  Json.to_string
+    (Json.Obj
+       ((("op", Json.String name) :: ("session", Json.String session) :: fields)
+       @ Option.to_list digest))
+
+(* A snapshot blob is the load record that would rebuild the session as
+   it stands, digest included. *)
+let session_blob s =
+  encode ~session:s.id
+    ~digest:(Eco.Session.state_digest s.sess)
+    (Apply
+       (Load
+          {
+            design = Eco.Session.design s.sess;
+            placement = Eco.Session.placement s.sess;
+            tiles = Eco.Session.tiles s.sess;
+          }))
+
+(* ---- journaling ------------------------------------------------------ *)
 
 (* Snapshot every live session, then truncate the wal: from here on a
    recovery starts at the snapshots and replays nothing older.  Snapshots
@@ -193,33 +265,29 @@ let snapshot_all t j =
   Journal.compact j;
   t.records_since_snapshot <- 0
 
-let journal_append t fields =
-  match t.journal with
-  | Some j when not t.replaying ->
-    ignore (Journal.append j (Json.to_string (Json.Obj fields)));
-    t.records_since_snapshot <- t.records_since_snapshot + 1;
-    if t.records_since_snapshot >= max 1 t.cfg.snapshot_every then
-      snapshot_all t j
-  | _ -> ()
+let journal_append t j payload =
+  ignore (Journal.append j payload);
+  t.records_since_snapshot <- t.records_since_snapshot + 1;
+  if t.records_since_snapshot >= max 1 t.cfg.snapshot_every then
+    snapshot_all t j
 
-(* A wall-clock budget is the one thing command-replay cannot promise to
-   reproduce: the clip point is timing-dependent, so replaying the
-   record could land on a different placement and brick every restart
-   with Digest_drift.  Snapshotting the session immediately after
-   journaling a budget-capped mutation parks its result durably —
-   recovery restores the snapshot and skips the record (lsn <= snapshot
-   lsn), so the record is only ever command-replayed in the sliver of a
-   crash between the append and this snapshot, where its reply cannot
-   have been sent. *)
-let snapshot_budget_capped t s =
+(* Journal [m] as applied to [s], with the digest of the state it left.
+   A wall-clock budget is the one thing command-replay cannot promise to
+   reproduce: the clip point is timing-dependent, so a replay of the
+   record could land on a different placement and brick every restart with
+   Digest_drift.  Snapshotting the session right after journaling a
+   budget-capped mutation parks its result durably — recovery restores
+   the snapshot and skips the record (lsn <= snapshot lsn), so the record
+   is only ever command-replayed in the sliver of a crash between the
+   append and this snapshot, where its reply cannot have been sent. *)
+let record t s m =
   match t.journal with
-  | Some j when not t.replaying ->
-    Journal.save_snapshot j ~session:s.id (session_blob s)
-  | _ -> ()
-
-let opt_int name = function
-  | None -> []
-  | Some v -> [ (name, Json.Int v) ]
+  | None -> ()
+  | Some j ->
+    journal_append t j
+      (encode ~session:s.id ~digest:(Eco.Session.state_digest s.sess) (Apply m));
+    if budget_of m <> None then
+      Journal.save_snapshot j ~session:s.id (session_blob s)
 
 (* ---- session cache -------------------------------------------------- *)
 
@@ -250,17 +318,17 @@ let evict_lru t =
       t.sessions None
   in
   match victim with
-  | Some s ->
+  | Some s -> (
     Hashtbl.remove t.sessions s.id;
     t.evictions <- t.evictions + 1;
     Tdf_telemetry.incr "serve.cache.evict";
     (* The eviction itself is journaled (and the stale snapshot removed)
        so recovery reproduces the exact live set, never a superset. *)
-    journal_append t
-      [ ("op", Json.String "evict"); ("session", Json.String s.id) ];
-    (match t.journal with
-    | Some j when not t.replaying -> Journal.delete_snapshot j ~session:s.id
-    | _ -> ())
+    match t.journal with
+    | Some j ->
+      journal_append t j (encode ~session:s.id Evict);
+      Journal.delete_snapshot j ~session:s.id
+    | None -> ())
   | None -> ()
 
 let insert_session t id sess =
@@ -283,17 +351,6 @@ let fail code fmt =
     (fun detail -> raise (Reply_error { Protocol.code; detail }))
     fmt
 
-(* Rewrite "line N: ..." parser diagnostics into file:line: form when the
-   source was a file, like the CLI does. *)
-let parse_diagnostic src msg =
-  match src with
-  | Protocol.Text _ -> msg
-  | Protocol.Path path ->
-    if String.length msg > 5 && String.sub msg 0 5 = "line " then
-      Printf.sprintf "%s:%s" path
-        (String.sub msg 5 (String.length msg - 5))
-    else Printf.sprintf "%s: %s" path msg
-
 let read_source src =
   match src with
   | Protocol.Text t -> t
@@ -306,45 +363,21 @@ let read_source src =
       s
     with Sys_error msg -> fail "parse-error" "%s" msg)
 
-(* The design dialect is sniffed from the first keyword, mirroring the
-   CLI's loader, so a session can be fed either native or contest text. *)
-let parse_design src =
-  let text = read_source src in
-  let is_contest =
-    let rec first_keyword i =
-      if i >= String.length text then ""
-      else
-        let j =
-          match String.index_from_opt text i '\n' with
-          | Some j -> j
-          | None -> String.length text
-        in
-        let line = String.trim (String.sub text i (j - i)) in
-        if line = "" || line.[0] = '#' then first_keyword (j + 1)
-        else
-          match String.index_opt line ' ' with
-          | Some k -> String.sub line 0 k
-          | None -> line
-    in
-    List.mem (first_keyword 0) [ "NumTechnologies"; "Tech"; "DieSize" ]
+(* Parse [src] with [read], reporting errors in path:line: form when the
+   source was a file, like the CLI does. *)
+let parse read src =
+  let path =
+    match src with Protocol.Path p -> Some p | Protocol.Text _ -> None
   in
-  let result =
-    if is_contest then Result.map fst (Contest.read text)
-    else Text.read_design text
-  in
-  match result with
-  | Ok d -> d
-  | Error e -> fail "parse-error" "%s" (parse_diagnostic src e)
+  match read (read_source src) with
+  | Ok v -> v
+  | Error e -> fail "parse-error" "%s" (Loader.diagnostic ?path e)
 
-let parse_placement design src =
-  match Text.read_placement design (read_source src) with
-  | Ok p -> p
-  | Error e -> fail "parse-error" "%s" (parse_diagnostic src e)
+let parse_design = parse Loader.design
 
-let parse_delta src =
-  match Delta.read (read_source src) with
-  | Ok d -> d
-  | Error e -> fail "parse-error" "%s" (parse_diagnostic src e)
+let parse_placement design = parse (Text.read_placement design)
+
+let parse_delta = parse Delta.read
 
 let required_session t id =
   match find_session t id with
@@ -373,10 +406,6 @@ let assert_placement_roundtrip design p =
       fail "freeze-drift" "placement text changed across encode/decode round-trip");
   canon
 
-let set_jobs_opt = function Some j -> Tdf_par.set_jobs j | None -> ()
-
-let set_tiles_opt = function Some k -> Tile.set_tiles k | None -> ()
-
 (* The deadline caps every budget, including explicit per-request ones:
    with [deadline_ms] set no request can hold the single-threaded event
    loop hostage longer than the cap (budget exhaustion degrades into a
@@ -391,195 +420,113 @@ let effective_budget t requested =
   | None, Some d -> Some d
   | b, None -> b
 
-let eco_cfg_of t ~radius ~max_widenings ~budget_ms =
-  let base = t.cfg.eco in
-  {
-    base with
-    Eco.initial_radius =
-      Option.value radius ~default:base.Eco.initial_radius;
-    Eco.max_widenings =
-      Option.value max_widenings ~default:base.Eco.max_widenings;
-    Eco.budget_ms = effective_budget t budget_ms;
-  }
+(* Request override beats the session's tiling beats the process knob;
+   tiling never changes the placement, only wall clock. *)
+let session_tiles s = function
+  | None -> Eco.Session.tiles s.sess
+  | tiles -> tiles
 
-let rec handle_req t (req : Protocol.request) : Protocol.response =
-  match req with
-  | Protocol.Ping -> Ok Protocol.Pong
-  | Protocol.Stats -> Ok (Protocol.Stats_snapshot (stats_json_impl t))
-  | Protocol.Shutdown ->
-    t.stop <- true;
-    Ok Protocol.Shutting_down
-  | Protocol.Load_design { session; design; placement; tiles } ->
-    let d = parse_design design in
-    assert_design_roundtrip d;
-    let p =
-      match placement with
-      | Some src -> parse_placement d src
-      | None -> Placement.initial d
+(* The one reader of {!encode}'s records.  The session comes back at once
+   and the op on demand, so a record that recovery skips is parsed no
+   further.  A snapshot blob ([snapshot_of] names its session) reads as a
+   load record; blobs from before snapshots were load records carry no
+   "op" or "session" and read the same way. *)
+let decode ?snapshot_of payload =
+  match Json.of_string payload with
+  | Error e -> ("", fun () -> fail "bad-record" "record is not JSON: %s" e)
+  | Ok doc ->
+    let str name = Option.bind (Json.member name doc) Json.to_str in
+    let int name = Option.bind (Json.member name doc) Json.to_int in
+    let session, name =
+      match snapshot_of with
+      | Some session -> (session, "load")
+      | None ->
+        ( Option.value (str "session") ~default:"",
+          Option.value (str "op") ~default:"" )
     in
-    let sess = Eco.Session.create ~cfg:t.cfg.eco ?tiles d p in
-    let s = insert_session t session sess in
-    (* Journaled as canonical native text whatever dialect arrived: replay
-       has one parser and the digest pins the decoded state. *)
-    journal_append t
-      ([
-         ("op", Json.String "load");
-         ("session", Json.String session);
-         ("design", Json.String (Text.design_to_string d));
-         ("placement", Json.String (Text.placement_to_string d p));
-       ]
-      @ opt_int "tiles" tiles
-      @ [ ("digest", Json.String (Eco.Session.state_digest s.sess)) ]);
-    Ok
-      (Protocol.Loaded
-         {
-           session;
-           n_cells = Design.n_cells d;
-           n_nets = Array.length d.Design.nets;
-           legal = Legality.is_legal d p;
-         })
-  | Protocol.Legalize { session; budget_ms; jobs; tiles; want_placement } ->
-    let s = required_session t session in
-    set_jobs_opt jobs;
-    (* Request override beats the session's tiling beats the process
-       knob; tiling never changes the placement, only wall clock. *)
-    let tiles =
-      match tiles with Some _ -> tiles | None -> Eco.Session.tiles s.sess
-    in
-    set_tiles_opt tiles;
-    let design = Eco.Session.design s.sess in
-    let budget = effective_budget t budget_ms in
-    let opts = { Pipeline.default_options with Pipeline.budget_ms = budget } in
-    let result, wall_s =
-      Timer.time (fun () ->
-          Pipeline.run ~opts ~cfg:t.cfg.eco.Eco.flow
-            ~start:(Eco.Session.placement s.sess) design)
-    in
-    (match result with
+    ( session,
+      fun () ->
+        let need get what =
+          match get what with
+          | Some v -> v
+          | None -> fail "bad-record" "%s record missing %s" name what
+        in
+        let parsed what read =
+          match read (need str what) with
+          | Ok v -> v
+          | Error e -> fail "parse-error" "%s: %s" what e
+        in
+        let budget_ms = int "budget_ms" and jobs = int "jobs" in
+        let tiles = int "tiles" in
+        let op =
+          match name with
+          | "evict" -> Evict
+          | "load" ->
+            let design = parsed "design" Text.read_design in
+            let placement = parsed "placement" (Text.read_placement design) in
+            Apply (Load { design; placement; tiles })
+          | "legalize" -> Apply (Legalize { budget_ms; jobs; tiles })
+          | "eco" ->
+            Apply
+              (Eco_delta
+                 {
+                   delta = parsed "delta" Delta.read;
+                   radius = need int "radius";
+                   max_widenings = need int "max_widenings";
+                   budget_ms;
+                   jobs;
+                   tiles;
+                 })
+          | other -> fail "bad-record" "unknown journal op %s" other
+        in
+        (op, str "digest") )
+
+(* Run [m] against [sess] (a load builds its own session): the one place
+   a mutation reaches the engines, for live requests and recovery alike.
+   Returns the session holding the result and the engine's report; a
+   failure is a typed [Reply_error] and leaves [sess] as it was. *)
+let apply : type a.
+    t -> Eco.Session.t option -> a mutation -> Eco.Session.t * a =
+ fun t sess m ->
+  let target () =
+    match sess with
+    | Some s -> s
+    | None -> fail "unknown-session" "no loaded session to mutate"
+  in
+  match m with
+  | Load { design; placement; tiles } ->
+    (Eco.Session.create ~cfg:t.cfg.eco ?tiles design placement, ())
+  | Legalize { budget_ms; jobs; tiles } -> (
+    let sess = target () in
+    Option.iter Tdf_par.set_jobs jobs;
+    Option.iter Tile.set_tiles tiles;
+    let opts = { Pipeline.default_options with Pipeline.budget_ms } in
+    match
+      Pipeline.run ~opts ~cfg:t.cfg.eco.Eco.flow
+        ~start:(Eco.Session.placement sess) (Eco.Session.design sess)
+    with
     | Error e -> fail "legalize-failed" "%s" (Tdf_robust.Error.to_string e)
     | Ok r ->
-      Eco.Session.set_placement s.sess r.Pipeline.design r.Pipeline.placement;
-      (* Journal before the round-trip assertion below: the session state
-         has already advanced, and the journal must mirror it even when
-         the reply degrades to a freeze-drift error. *)
-      journal_append t
-        ([
-           ("op", Json.String "legalize");
-           ("session", Json.String session);
-         ]
-        @ opt_int "budget_ms" budget @ opt_int "jobs" jobs
-        @ opt_int "tiles" tiles
-        @ [ ("digest", Json.String (Eco.Session.state_digest s.sess)) ]);
-      if budget <> None then snapshot_budget_capped t s;
-      let placement =
-        if want_placement then
-          Some (assert_placement_roundtrip r.Pipeline.design r.Pipeline.placement)
-        else None
-      in
-      Ok
-        (Protocol.Legalized
-           {
-             session;
-             legal = r.Pipeline.legal;
-             path = Pipeline.path_name r.Pipeline.path;
-             wall_s;
-             placement;
-           }))
-  | Protocol.Eco
+      Eco.Session.set_placement sess r.Pipeline.design r.Pipeline.placement;
+      (sess, r))
+  | Eco_delta { delta; radius; max_widenings; budget_ms; jobs; tiles } -> (
+    let sess = target () in
+    Option.iter Tdf_par.set_jobs jobs;
+    let cfg =
       {
-        session;
-        delta;
-        radius;
+        t.cfg.eco with
+        Eco.initial_radius = radius;
         max_widenings;
         budget_ms;
-        jobs;
         tiles;
-        want_placement;
-      } ->
-    let s = required_session t session in
-    set_jobs_opt jobs;
-    let delta = parse_delta delta in
-    let tiles =
-      match tiles with Some _ -> tiles | None -> Eco.Session.tiles s.sess
+      }
     in
-    let cfg =
-      { (eco_cfg_of t ~radius ~max_widenings ~budget_ms) with Eco.tiles }
-    in
-    (* Snapshot so a post-hoc consistency failure can roll the warm
-       session back to its pre-request state.  Only needed when the reply
-       carries placement text (the round-trip assertion can reject). *)
-    let snapshot =
-      if want_placement then
-        Some
-          ( Eco.Session.design s.sess,
-            Placement.copy (Eco.Session.placement s.sess) )
-      else None
-    in
-    let result, wall_s =
-      Timer.time (fun () -> Eco.Session.eco ~cfg s.sess delta)
-    in
-    (match result with
+    match Eco.Session.eco ~cfg sess delta with
     | Error (Eco.Invalid_delta msg) -> fail "invalid-delta" "%s" msg
     | Error e -> fail "eco-failed" "%s" (Eco.error_to_string e)
-    | Ok r ->
-      (* The wire placement must survive encode→decode→re-encode exactly,
-         or the frozen-cell guarantee would silently rot in transit.  The
-         assertion rides only on placement-carrying replies — it is the
-         same text we are about to send. *)
-      let placement_txt =
-        match snapshot with
-        | None -> None
-        | Some (prev_design, prev_placement) -> (
-          try Some (assert_placement_roundtrip r.Eco.design r.Eco.placement)
-          with Reply_error _ as e ->
-            Eco.Session.set_placement s.sess prev_design prev_placement;
-            raise e)
-      in
-      (* After the assertion: a rolled-back request left no state to
-         journal.  The record carries the *effective* knobs (deadline cap
-         applied), so replay re-runs exactly what ran. *)
-      journal_append t
-        ([
-           ("op", Json.String "eco");
-           ("session", Json.String session);
-           ("delta", Json.String (Delta.to_string delta));
-           ("radius", Json.Int cfg.Eco.initial_radius);
-           ("max_widenings", Json.Int cfg.Eco.max_widenings);
-         ]
-        @ opt_int "budget_ms" cfg.Eco.budget_ms
-        @ opt_int "jobs" jobs @ opt_int "tiles" tiles
-        @ [ ("digest", Json.String (Eco.Session.state_digest s.sess)) ]);
-      if cfg.Eco.budget_ms <> None then snapshot_budget_capped t s;
-      let st = r.Eco.stats in
-      Ok
-        (Protocol.Eco_applied
-           {
-             session;
-             (* [Ok] implies legality: both the local path and the full
-                fallback verify before returning (see eco.ml). *)
-             legal = true;
-             path = Eco.path_name st.Eco.path;
-             dirty_bins = st.Eco.dirty_bins;
-             total_bins = st.Eco.total_bins;
-             widenings = st.Eco.widenings;
-             fallbacks = st.Eco.fallbacks;
-             grid_reused = Eco.Session.grid_reused_last s.sess;
-             wall_s;
-             placement = placement_txt;
-           }))
-  | Protocol.Get_placement { session } ->
-    let s = required_session t session in
-    Ok
-      (Protocol.Placement_text
-         {
-           session;
-           placement =
-             Text.placement_to_string
-               (Eco.Session.design s.sess)
-               (Eco.Session.placement s.sess);
-         })
+    | Ok r -> (sess, r))
 
-and stats_json_impl t =
+let stats_json t =
   let lat = Samples.to_array t.latencies_ms in
   let pct p = Stats.percentile lat p in
   let kinds =
@@ -665,7 +612,142 @@ and stats_json_impl t =
           ] );
     ]
 
-let stats_json = stats_json_impl
+let handle_req t (req : Protocol.request) : Protocol.response =
+  match req with
+  | Protocol.Ping -> Ok Protocol.Pong
+  | Protocol.Stats -> Ok (Protocol.Stats_snapshot (stats_json t))
+  | Protocol.Shutdown ->
+    t.stop <- true;
+    Ok Protocol.Shutting_down
+  | Protocol.Load_design { session; design; placement; tiles } ->
+    let d = parse_design design in
+    assert_design_roundtrip d;
+    let p =
+      match placement with
+      | Some src -> parse_placement d src
+      | None -> Placement.initial d
+    in
+    let m = Load { design = d; placement = p; tiles } in
+    let sess, () = apply t None m in
+    let s = insert_session t session sess in
+    record t s m;
+    Ok
+      (Protocol.Loaded
+         {
+           session;
+           n_cells = Design.n_cells d;
+           n_nets = Array.length d.Design.nets;
+           legal = Legality.is_legal d p;
+         })
+  | Protocol.Legalize { session; budget_ms; jobs; tiles; want_placement } ->
+    let s = required_session t session in
+    let m =
+      Legalize
+        {
+          budget_ms = effective_budget t budget_ms;
+          jobs;
+          tiles = session_tiles s tiles;
+        }
+    in
+    let (_, r), wall_s = Timer.time (fun () -> apply t (Some s.sess) m) in
+    (* Journal before the round-trip assertion below: the session state
+       has already advanced, and the journal must mirror it even when
+       the reply degrades to a freeze-drift error. *)
+    record t s m;
+    let placement =
+      if want_placement then
+        Some (assert_placement_roundtrip r.Pipeline.design r.Pipeline.placement)
+      else None
+    in
+    Ok
+      (Protocol.Legalized
+         {
+           session;
+           legal = r.Pipeline.legal;
+           path = Pipeline.path_name r.Pipeline.path;
+           wall_s;
+           placement;
+         })
+  | Protocol.Eco
+      {
+        session;
+        delta;
+        radius;
+        max_widenings;
+        budget_ms;
+        jobs;
+        tiles;
+        want_placement;
+      } ->
+    let s = required_session t session in
+    let base = t.cfg.eco in
+    let m =
+      Eco_delta
+        {
+          delta = parse_delta delta;
+          radius = Option.value radius ~default:base.Eco.initial_radius;
+          max_widenings =
+            Option.value max_widenings ~default:base.Eco.max_widenings;
+          budget_ms = effective_budget t budget_ms;
+          jobs;
+          tiles = session_tiles s tiles;
+        }
+    in
+    (* Snapshot so a post-hoc consistency failure can roll the warm
+       session back to its pre-request state.  Only needed when the reply
+       carries placement text (the round-trip assertion can reject). *)
+    let snapshot =
+      if want_placement then
+        Some
+          ( Eco.Session.design s.sess,
+            Placement.copy (Eco.Session.placement s.sess) )
+      else None
+    in
+    let (_, r), wall_s = Timer.time (fun () -> apply t (Some s.sess) m) in
+    (* The wire placement must survive encode→decode→re-encode exactly,
+       or the frozen-cell guarantee would silently rot in transit.  The
+       assertion rides only on placement-carrying replies — it is the
+       same text we are about to send. *)
+    let placement =
+      match snapshot with
+      | None -> None
+      | Some (prev_design, prev_placement) -> (
+        try Some (assert_placement_roundtrip r.Eco.design r.Eco.placement)
+        with Reply_error _ as e ->
+          Eco.Session.set_placement s.sess prev_design prev_placement;
+          raise e)
+    in
+    (* After the assertion: a rolled-back request left no state to
+       journal. *)
+    record t s m;
+    let st = r.Eco.stats in
+    Ok
+      (Protocol.Eco_applied
+         {
+           session;
+           (* [Ok] implies legality: both the local path and the full
+              fallback verify before returning (see eco.ml). *)
+           legal = true;
+           path = Eco.path_name st.Eco.path;
+           dirty_bins = st.Eco.dirty_bins;
+           total_bins = st.Eco.total_bins;
+           widenings = st.Eco.widenings;
+           fallbacks = st.Eco.fallbacks;
+           grid_reused = Eco.Session.grid_reused_last s.sess;
+           wall_s;
+           placement;
+         })
+  | Protocol.Get_placement { session } ->
+    let s = required_session t session in
+    Ok
+      (Protocol.Placement_text
+         {
+           session;
+           placement =
+             Text.placement_to_string
+               (Eco.Session.design s.sess)
+               (Eco.Session.placement s.sess);
+         })
 
 (* Every request runs in its own fault domain: exceptions (including the
    armed "serve.request" failpoint) become typed error replies and the
@@ -702,245 +784,97 @@ let handle t req =
 
 (* ---- recovery -------------------------------------------------------- *)
 
-let json_str name doc = Option.bind (Json.member name doc) Json.to_str
-
-let json_int name doc = Option.bind (Json.member name doc) Json.to_int
-
-let parse_blob blob =
-  match Json.of_string blob with
-  | Error e -> Error ("snapshot blob is not JSON: " ^ e)
-  | Ok doc -> (
-    match
-      (json_str "design" doc, json_str "placement" doc, json_str "digest" doc)
-    with
-    | Some d, Some p, Some dg -> Ok (d, p, dg, json_int "tiles" doc)
-    | _ -> Error "snapshot blob is missing design/placement/digest")
-
 (* Rebuild the session table from the journal: latest valid snapshot per
-   session, then command-replay of the wal suffix through the very same
-   Eco.Session machinery live requests use.  The engines are deterministic
-   (byte-identical at any --jobs), so replay must land on the journaled
-   digests — any drift is a typed startup error, not a silent divergence.
-   The one documented exception: budget-capped requests replay with the
-   recorded effective budget, and a wall-clock budget that clipped the
-   original run differently from the replay shows up as Digest_drift. *)
+   session, then command-replay of the wal suffix.  Both read records
+   with {!decode} and run them through the live {!apply}, before the
+   journal is attached, so nothing replayed is journaled again.  The
+   engines are deterministic (byte-identical at any --jobs), so replay
+   must land on the journaled digests — any drift is a typed startup
+   error, not a silent divergence.  The one documented exception:
+   budget-capped requests replay with the recorded effective budget, and
+   a wall-clock budget that clipped the original run differently from
+   the replay shows up as Digest_drift. *)
 let recover t j (r : Journal.recovery) =
-  t.replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.replaying <- false)
-    (fun () ->
-      let state : (string, Eco.Session.t * int) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      List.iter
-        (fun (s : Journal.snapshot) ->
-          let invalid detail =
+  let state : (string, Eco.Session.t * int) Hashtbl.t = Hashtbl.create 8 in
+  (* Replies are written right after each request executes, so any
+     record with a successor in the wal had its reply sent.  Only the
+     final record can be un-acknowledged — which is the one place a
+     timing-dependent budget clip may be forgiven. *)
+  let last_wal_lsn =
+    List.fold_left (fun a (l, _) -> max a l) 0 r.Journal.records
+  in
+  let replay ~lsn ~invalid (session, decoded) =
+    try
+      match decoded () with
+      | Evict, _ -> Hashtbl.remove state session
+      | Apply m, digest ->
+        let sess, _ =
+          apply t (Option.map fst (Hashtbl.find_opt state session)) m
+        in
+        (match digest with
+        | None -> ()
+        | Some expected ->
+          let got = Eco.Session.state_digest sess in
+          if got = expected then ()
+          else if budget_of m <> None && lsn = last_wal_lsn then
+            (* A wall-clock budget clipped the replay differently from
+               the original run.  On the final wal record no later state
+               depends on it and (budget-capped mutations snapshot right
+               after their append) its reply almost surely never left the
+               daemon: keep the deterministic replayed state and count
+               it, rather than brick every subsequent restart. *)
+            Tdf_telemetry.incr "serve.recovery.tolerated_drift"
+          else
             raise
-              (Recovery_error
-                 (Snapshot_invalid { session = s.Journal.snap_session; detail }))
-          in
-          match parse_blob s.Journal.blob with
-          | Error e -> invalid e
-          | Ok (dtxt, ptxt, digest, tiles) ->
-            let design =
-              match Text.read_design dtxt with
-              | Ok d -> d
-              | Error e -> invalid ("design: " ^ e)
-            in
-            let placement =
-              match Text.read_placement design ptxt with
-              | Ok p -> p
-              | Error e -> invalid ("placement: " ^ e)
-            in
-            let sess =
-              Eco.Session.create ~cfg:t.cfg.eco ?tiles design placement
-            in
-            let got = Eco.Session.state_digest sess in
-            if got <> digest then
-              raise
-                (Recovery_error
-                   (Digest_drift
-                      {
-                        lsn = s.Journal.snap_lsn;
-                        session = s.Journal.snap_session;
-                        expected = digest;
-                        got;
-                      }));
-            Hashtbl.replace state s.Journal.snap_session
-              (sess, s.Journal.snap_lsn))
-        r.Journal.snapshots;
-      let replayed = ref 0 in
-      (* Replies are written right after each request executes, so any
-         record with a successor in the wal had its reply sent.  Only
-         the final record can be un-acknowledged — which is the one
-         place a timing-dependent budget clip may be forgiven. *)
-      let last_wal_lsn =
-        List.fold_left (fun a (l, _) -> max a l) 0 r.Journal.records
-      in
-      List.iter
-        (fun (lsn, payload) ->
-          let doc =
-            match Json.of_string payload with
-            | Ok doc -> doc
-            | Error e ->
-              raise
-                (Recovery_error
-                   (Replay_failed
-                      {
-                        lsn;
-                        session = "";
-                        code = "bad-record";
-                        detail = "record is not JSON: " ^ e;
-                      }))
-          in
-          let op = Option.value (json_str "op" doc) ~default:"" in
-          let session = Option.value (json_str "session" doc) ~default:"" in
-          let failr code detail =
-            raise (Recovery_error (Replay_failed { lsn; session; code; detail }))
-          in
-          let check_digest ~budget sess =
-            match json_str "digest" doc with
-            | None -> ()
-            | Some expected ->
-              let got = Eco.Session.state_digest sess in
-              if got <> expected then
-                if budget <> None && lsn = last_wal_lsn then
-                  (* A wall-clock budget clipped the replay differently
-                     from the original run.  On the final wal record no
-                     later state depends on it and (budget-capped
-                     mutations snapshot right after their append) its
-                     reply almost surely never left the daemon: keep the
-                     deterministic replayed state and count it, rather
-                     than brick every subsequent restart. *)
-                  Tdf_telemetry.incr "serve.recovery.tolerated_drift"
-                else
-                  raise
-                    (Recovery_error
-                       (Digest_drift { lsn; session; expected; got }))
-          in
-          (* Anything at or below the session's snapshot lsn is already
-             reflected in the snapshot — skipping it makes a crash between
-             save_snapshot and compact harmless. *)
-          let skip =
-            match Hashtbl.find_opt state session with
-            | Some (_, high) -> lsn <= high
-            | None -> false
-          in
-          if not skip then begin
-            incr replayed;
-            match op with
-            | "load" ->
-              let need name =
-                match json_str name doc with
-                | Some v -> v
-                | None -> failr "bad-record" ("load record missing " ^ name)
-              in
-              let design =
-                match Text.read_design (need "design") with
-                | Ok d -> d
-                | Error e -> failr "parse-error" ("design: " ^ e)
-              in
-              let placement =
-                match Text.read_placement design (need "placement") with
-                | Ok p -> p
-                | Error e -> failr "parse-error" ("placement: " ^ e)
-              in
-              let sess =
-                Eco.Session.create ~cfg:t.cfg.eco
-                  ?tiles:(json_int "tiles" doc)
-                  design placement
-              in
-              check_digest ~budget:None sess;
-              Hashtbl.replace state session (sess, lsn)
-            | "eco" ->
-              let sess =
-                match Hashtbl.find_opt state session with
-                | Some (s, _) -> s
-                | None ->
-                  failr "unknown-session" "eco record for a session never loaded"
-              in
-              let delta =
-                match json_str "delta" doc with
-                | None -> failr "bad-record" "eco record missing delta"
-                | Some txt -> (
-                  match Delta.read txt with
-                  | Ok d -> d
-                  | Error e -> failr "parse-error" ("delta: " ^ e))
-              in
-              let cfg =
-                {
-                  t.cfg.eco with
-                  Eco.initial_radius =
-                    Option.value (json_int "radius" doc)
-                      ~default:t.cfg.eco.Eco.initial_radius;
-                  Eco.max_widenings =
-                    Option.value (json_int "max_widenings" doc)
-                      ~default:t.cfg.eco.Eco.max_widenings;
-                  Eco.budget_ms = json_int "budget_ms" doc;
-                  Eco.tiles = json_int "tiles" doc;
-                }
-              in
-              set_jobs_opt (json_int "jobs" doc);
-              (match Eco.Session.eco ~cfg sess delta with
-              | Error (Eco.Invalid_delta msg) -> failr "invalid-delta" msg
-              | Error e -> failr "eco-failed" (Eco.error_to_string e)
-              | Ok _ -> ());
-              check_digest ~budget:cfg.Eco.budget_ms sess;
-              Hashtbl.replace state session (sess, lsn)
-            | "legalize" ->
-              let sess =
-                match Hashtbl.find_opt state session with
-                | Some (s, _) -> s
-                | None ->
-                  failr "unknown-session"
-                    "legalize record for a session never loaded"
-              in
-              let opts =
-                {
-                  Pipeline.default_options with
-                  Pipeline.budget_ms = json_int "budget_ms" doc;
-                }
-              in
-              set_jobs_opt (json_int "jobs" doc);
-              set_tiles_opt (json_int "tiles" doc);
-              (match
-                 Pipeline.run ~opts ~cfg:t.cfg.eco.Eco.flow
-                   ~start:(Eco.Session.placement sess)
-                   (Eco.Session.design sess)
-               with
-              | Error e ->
-                failr "legalize-failed" (Tdf_robust.Error.to_string e)
-              | Ok pr ->
-                Eco.Session.set_placement sess pr.Pipeline.design
-                  pr.Pipeline.placement);
-              check_digest ~budget:(json_int "budget_ms" doc) sess;
-              Hashtbl.replace state session (sess, lsn)
-            | "evict" -> Hashtbl.remove state session
-            | other -> failr "bad-record" ("unknown journal op " ^ other)
-          end)
-        r.Journal.records;
-      (* Install in last-mutation order so LRU recency approximates the
-         pre-crash order (read-only touches are not journaled). *)
-      let ordered =
-        Hashtbl.fold (fun id (sess, lsn) acc -> (lsn, id, sess) :: acc) state []
-        |> List.sort compare
-      in
-      List.iter (fun (_, id, sess) -> ignore (insert_session t id sess)) ordered;
-      t.recovery <-
-        Some
-          {
-            recovered_sessions = List.length ordered;
-            replayed_records = !replayed;
-            truncated_bytes = r.Journal.truncated_bytes;
-            dropped_snapshots = r.Journal.dropped_snapshots;
-          };
-      if
-        ordered <> [] || r.Journal.records <> []
-        || r.Journal.truncated_bytes > 0
-      then Tdf_telemetry.incr "serve.recoveries";
-      (* Re-baseline: fresh snapshots, empty wal.  The next recovery
-         starts here instead of re-replaying history. *)
-      snapshot_all t j)
+              (Recovery_error (Digest_drift { lsn; session; expected; got })));
+        Hashtbl.replace state session (sess, lsn)
+    with Reply_error e -> raise (Recovery_error (invalid session e))
+  in
+  List.iter
+    (fun (s : Journal.snapshot) ->
+      replay ~lsn:s.Journal.snap_lsn
+        ~invalid:(fun session e ->
+          Snapshot_invalid { session; detail = e.Protocol.detail })
+        (decode ~snapshot_of:s.Journal.snap_session s.Journal.blob))
+    r.Journal.snapshots;
+  let replayed = ref 0 in
+  List.iter
+    (fun (lsn, payload) ->
+      let ((session, _) as entry) = decode payload in
+      (* Anything at or below the session's snapshot lsn is already
+         reflected in the snapshot — skipping it makes a crash between
+         save_snapshot and compact harmless. *)
+      match Hashtbl.find_opt state session with
+      | Some (_, high) when lsn <= high -> ()
+      | _ ->
+        incr replayed;
+        replay ~lsn
+          ~invalid:(fun session { Protocol.code; detail } ->
+            Replay_failed { lsn; session; code; detail })
+          entry)
+    r.Journal.records;
+  (* Install in last-mutation order so LRU recency approximates the
+     pre-crash order (read-only touches are not journaled). *)
+  let ordered =
+    Hashtbl.fold (fun id (sess, lsn) acc -> (lsn, id, sess) :: acc) state []
+    |> List.sort compare
+  in
+  List.iter (fun (_, id, sess) -> ignore (insert_session t id sess)) ordered;
+  t.recovery <-
+    Some
+      {
+        recovered_sessions = List.length ordered;
+        replayed_records = !replayed;
+        truncated_bytes = r.Journal.truncated_bytes;
+        dropped_snapshots = r.Journal.dropped_snapshots;
+      };
+  if ordered <> [] || r.Journal.records <> [] || r.Journal.truncated_bytes > 0
+  then Tdf_telemetry.incr "serve.recoveries";
+  (* Re-baseline: fresh snapshots, empty wal.  The next recovery starts
+     here instead of running history again. *)
+  t.journal <- Some j;
+  snapshot_all t j
+
 
 let make cfg listen_fd =
   let t =
@@ -952,7 +886,6 @@ let make cfg listen_fd =
       tick = 0;
       started_ns = Timer.now_ns ();
       journal = None;
-      replaying = false;
       records_since_snapshot = 0;
       pending_count = 0;
       recovery = None;
@@ -974,9 +907,7 @@ let make cfg listen_fd =
   | Some jcfg -> (
     match Journal.open_ jcfg with
     | Error detail -> raise (Recovery_error (Journal_unusable { detail }))
-    | Ok (j, r) ->
-      t.journal <- Some j;
-      recover t j r));
+    | Ok (j, r) -> recover t j r));
   t
 
 (* A socket file can outlive a SIGKILLed daemon.  Probe it: a successful

@@ -1,5 +1,6 @@
 module Text = Tdf_io.Text
 module Svg = Tdf_io.Svg
+module Loader = Tdf_io.Loader
 module Design = Tdf_netlist.Design
 module Placement = Tdf_netlist.Placement
 
@@ -100,6 +101,50 @@ let test_svg_counts_cells () =
   (* one displacement line per cell on the die *)
   Alcotest.(check int) "one line per cell" !die0 (count_sub "<line ")
 
+(* One loader serves both dialects: the first keyword off blank and
+   comment lines picks the parser, and either parser's "line N:" error
+   comes back in path:N: form. *)
+let test_loader_dialects () =
+  let d = Fixtures.with_macro () in
+  (match Loader.design (Text.design_to_string d) with
+  | Ok d' ->
+    Alcotest.(check string) "native design" (Text.design_to_string d)
+      (Text.design_to_string d')
+  | Error e -> Alcotest.failf "native design rejected: %s" e);
+  (match
+     Loader.design ("# contest case\n\n   \n" ^ Tdf_io.Contest.to_string d)
+   with
+  | Ok d' -> Alcotest.(check int) "contest cells" (Design.n_cells d) (Design.n_cells d')
+  | Error e -> Alcotest.failf "contest text behind comments rejected: %s" e);
+  let starts_with prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+  in
+  let error_of = function
+    | Ok _ -> Alcotest.fail "corrupt design accepted"
+    | Error e -> e
+  in
+  let contest = "# c\nNumTechnologies 2\nTech BadTech\n" in
+  let native = "# c\n\nbogus 3\n" in
+  List.iter
+    (fun (name, text, line) ->
+      let raw = error_of (Loader.design text) in
+      Alcotest.(check bool)
+        (name ^ ": parser reports the line")
+        true
+        (starts_with (Printf.sprintf "line %d:" line) raw);
+      Alcotest.(check bool)
+        (name ^ ": rewritten to path:N:")
+        true
+        (starts_with (Printf.sprintf "case.txt:%d:" line)
+           (error_of (Loader.design ~path:"case.txt" text))))
+    [ ("contest", contest, 3); ("native", native, 3) ];
+  Alcotest.(check string) "other messages get a path: prefix"
+    "case.txt: no such thing"
+    (Loader.diagnostic ~path:"case.txt" "no such thing");
+  Alcotest.(check string) "no path, no rewrite" "line 2: x"
+    (Loader.diagnostic "line 2: x")
+
 let suite =
   [
     Alcotest.test_case "design roundtrip" `Quick test_design_roundtrip;
@@ -108,6 +153,8 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
     Alcotest.test_case "file io" `Quick test_file_io;
+    Alcotest.test_case "design loader: dialects and diagnostics" `Quick
+      test_loader_dialects;
     Alcotest.test_case "svg renders" `Quick test_svg_renders;
     Alcotest.test_case "svg cell lines" `Quick test_svg_counts_cells;
   ]
