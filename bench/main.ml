@@ -1,42 +1,39 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (§IV) on the synthetic ICCAD-style suites, and runs
-   one Bechamel micro-benchmark per table/figure on fixed small cases.
+(* Benchmark harness: runs the solver, parallel, ECO and serve benchmarks
+   that CI gates, and regenerates every table and figure of the paper's
+   evaluation section (§IV) on the synthetic ICCAD-style suites.
 
-   Environment knobs:
-     TDFLOW_SCALE  case scale for the reproduction run (default 0.05)
-     TDFLOW_OUT_DIR  directory for generated artifacts (default "out")
-     TDFLOW_SKIP_MICRO  set to skip the Bechamel micro-benchmarks
-     TDFLOW_SOLVER_ONLY  run only the MCMF solver microbenchmark and exit
-     TDFLOW_GOLDEN  path to pinned (flow, cost) values for the solver
-                    small case; exit non-zero on mismatch (CI smoke)
-     TDFLOW_PARALLEL_ONLY  run only the parallel-scaling benchmark and exit
-     TDFLOW_SKIP_PARALLEL  set to skip the parallel-scaling benchmark
-     TDFLOW_PAR_JOBS  space-separated domain counts to sweep (default "1 2 4 8")
-     TDFLOW_PAR_SCALE  case scale for the parallel sweep (default 0.05)
-     TDFLOW_ECO_ONLY  run only the incremental-ECO benchmark and exit
-     TDFLOW_SKIP_ECO  set to skip the incremental-ECO benchmark
-     TDFLOW_SERVE_ONLY  run only the serve-daemon benchmark and exit
+   Usage: main.exe [SUITE]... [--scale S]
+     solver    MCMF solver microbenchmark; checks the small case against
+               bench/golden_solver.txt and exits 1 on mismatch
+     parallel  experiments grid at 1 2 4 8 domains, plus the tiled flow
+     eco       incremental ECO vs from-scratch latency
+     serve     warm daemon vs one-shot CLI chain
+     paper     Tables II-V, Fig. 7, Fig. 8, ablations and telemetry
+   Suites run in the order given; with none named, all five run in the
+   order above.  --scale S (default 0.05) sizes the parallel and paper
+   cases.  A bad suite name or scale exits 2 before any suite runs.
 
    The ECO and serve benchmarks run iccad2023/case2 at scale 0.05 (the
    serve one streams 120 warm ECOs and chains the first 20 through the
    one-shot CLI), and the design-choice ablations always run: that is the
    shape the ci/baselines files were recorded at. *)
 
-open Bechamel
-
-let scale =
-  match Sys.getenv_opt "TDFLOW_SCALE" with
-  | Some s -> (try float_of_string s with _ -> 0.05)
-  | None -> 0.05
-
 (* Generated artifacts (BENCH_*.json, fig7 CSV, fig8 SVGs) land under one
    directory instead of littering the repo root; CI uploads it wholesale. *)
-let out_dir =
-  let dir = Option.value (Sys.getenv_opt "TDFLOW_OUT_DIR") ~default:"out" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  dir
+let out_dir = "out"
 
 let out_path name = Filename.concat out_dir name
+
+(* Writes one artifact under [out_dir] and returns its path. *)
+let write_out name text =
+  let path = out_path name in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  path
+
+let write_json name json =
+  write_out name (Tdf_telemetry.Json.to_string json ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* MCMF solver microbenchmark: Builder/Csr/Workspace core              *)
@@ -192,10 +189,17 @@ let solver_case_json r =
 
 (* Golden file format: '#' comments plus "flow <int>" / "cost <int>"
    lines pinning the small case.  A mismatch means the solver's arithmetic
-   changed, which the differential tests should have caught first. *)
-let check_golden path results =
+   changed, which the differential tests should have caught first.  The
+   path is relative to the repository root, where the bench runs from. *)
+let check_golden results =
+  let path = "bench/golden_solver.txt" in
   let exp_flow = ref None and exp_cost = ref None in
-  let ic = open_in path in
+  let ic =
+    try open_in path
+    with Sys_error e ->
+      Printf.eprintf "GOLDEN: %s\n" e;
+      exit 1
+  in
   (try
      while true do
        let line = String.trim (input_line ic) in
@@ -251,15 +255,9 @@ let run_solver_bench () =
         ("cases", Json.List (List.map solver_case_json results));
       ]
   in
-  let path = out_path "BENCH_solver.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "Solver microbenchmark written to %s\n" path;
-  (match Sys.getenv_opt "TDFLOW_GOLDEN" with
-  | Some path -> check_golden path results
-  | None -> ());
+  Printf.printf "Solver microbenchmark written to %s\n"
+    (write_json "BENCH_solver.json" json);
+  check_golden results;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -271,23 +269,9 @@ let run_solver_bench () =
    determinism contract), so besides the timings this doubles as a
    cross-check: the rendered comparison table — with the nondeterministic
    runtime column zeroed — must match the jobs=1 reference exactly. *)
-let run_parallel_bench () =
-  let jobs_list =
-    match Sys.getenv_opt "TDFLOW_PAR_JOBS" with
-    | Some s ->
-      String.split_on_char ' ' s
-      |> List.filter_map int_of_string_opt
-      |> List.filter (fun j -> j >= 1)
-    | None -> [ 1; 2; 4; 8 ]
-  in
-  let jobs_list = if jobs_list = [] then [ 1 ] else jobs_list in
-  let pscale =
-    match Sys.getenv_opt "TDFLOW_PAR_SCALE" with
-    | Some s -> (try float_of_string s with _ -> 0.05)
-    | None -> 0.05
-  in
+let run_parallel_bench ~scale =
   Printf.printf "== parallel scaling (experiments grid, scale %.3g) ==\n"
-    pscale;
+    scale;
   Printf.printf "  host: recommended_domain_count=%d\n"
     (Domain.recommended_domain_count ());
   let strip results =
@@ -307,12 +291,12 @@ let run_parallel_bench () =
     Tdf_par.set_jobs jobs;
     let results, dt =
       timed (fun () ->
-          Tdf_experiments.Runner.run_suite ~scale:pscale
+          Tdf_experiments.Runner.run_suite ~scale
             Tdf_benchgen.Spec.Iccad2023)
     in
     (jobs, dt, strip results)
   in
-  let runs = List.map run_at jobs_list in
+  let runs = List.map run_at [ 1; 2; 4; 8 ] in
   Tdf_par.set_jobs 1;
   let _, base_dt, base_table =
     match runs with r :: _ -> r | [] -> assert false
@@ -333,10 +317,10 @@ let run_parallel_bench () =
      counters say how much speculation actually landed. *)
   let tile_list = [ 1; 2; 4; 9 ] in
   let tile_design =
-    Tdf_benchgen.Gen.generate_by_name ~scale:pscale Tdf_benchgen.Spec.Iccad2023
+    Tdf_benchgen.Gen.generate_by_name ~scale Tdf_benchgen.Spec.Iccad2023
       "case2"
   in
-  Printf.printf "  tiled flow (iccad2023 case2, scale %.3g):\n" pscale;
+  Printf.printf "  tiled flow (iccad2023 case2, scale %.3g):\n" scale;
   Tdf_par.set_jobs 4;
   let tile_runs =
     List.map
@@ -382,7 +366,7 @@ let run_parallel_bench () =
     Json.Obj
       [
         ("generated_by", Json.String "bench/main.ml");
-        ("scale", Json.Float pscale);
+        ("scale", Json.Float scale);
         ("recommended_domain_count", Json.Int (Domain.recommended_domain_count ()));
         ("deterministic", Json.Bool (deterministic && tile_deterministic));
         ( "runs",
@@ -412,12 +396,8 @@ let run_parallel_bench () =
                tile_runs) );
       ]
   in
-  let path = out_path "BENCH_parallel.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "Parallel scaling written to %s\n" path;
+  Printf.printf "Parallel scaling written to %s\n"
+    (write_json "BENCH_parallel.json" json);
   if not deterministic then begin
     Printf.eprintf
       "PARALLEL MISMATCH: grid output differs across domain counts\n";
@@ -566,12 +546,8 @@ let run_eco_bench () =
         ("runs", Json.List runs);
       ]
   in
-  let path = out_path "BENCH_eco.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "ECO benchmark written to %s\n" path;
+  Printf.printf "ECO benchmark written to %s\n"
+    (write_json "BENCH_eco.json" json);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -852,12 +828,8 @@ let run_serve_bench () =
         ("journaled_server_stats", journaled_server_stats);
       ]
   in
-  let path = out_path "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "Serve benchmark written to %s\n" path;
+  Printf.printf "Serve benchmark written to %s\n"
+    (write_json "BENCH_serve.json" json);
   if not (!legal && !byte_identical && journal_identical) then begin
     Printf.eprintf "SERVE BENCH: correctness check failed\n";
     exit 1
@@ -865,108 +837,17 @@ let run_serve_bench () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table / figure         *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let micro_scale = 0.02 in
-  let d2022 =
-    Tdf_benchgen.Gen.generate_by_name ~scale:micro_scale Tdf_benchgen.Spec.Iccad2022
-      "case3"
-  in
-  let d2023 =
-    Tdf_benchgen.Gen.generate_by_name ~scale:micro_scale Tdf_benchgen.Spec.Iccad2023
-      "case2"
-  in
-  let legal =
-    (Tdf_legalizer.Flow3d.legalize d2023).Tdf_legalizer.Flow3d.placement
-  in
-  Test.make_grouped ~name:"tdflow"
-    [
-      Test.make ~name:"table2/generate_case"
-        (Staged.stage (fun () ->
-             ignore
-               (Tdf_benchgen.Gen.generate_by_name ~scale:micro_scale
-                  Tdf_benchgen.Spec.Iccad2022 "case2")));
-      Test.make ~name:"table3/flow3d_iccad2022"
-        (Staged.stage (fun () -> ignore (Tdf_legalizer.Flow3d.legalize d2022)));
-      Test.make ~name:"table4/flow3d_iccad2023"
-        (Staged.stage (fun () -> ignore (Tdf_legalizer.Flow3d.legalize d2023)));
-      Test.make ~name:"table5/flow3d_no_d2d"
-        (Staged.stage (fun () ->
-             ignore
-               (Tdf_legalizer.Flow3d.legalize ~cfg:Tdf_legalizer.Config.no_d2d
-                  d2023)));
-      Test.make ~name:"fig7/hpwl_increase"
-        (Staged.stage (fun () ->
-             ignore (Tdf_metrics.Hpwl.increase_pct d2023 legal)));
-      Test.make ~name:"fig8/svg_render"
-        (Staged.stage (fun () ->
-             ignore (Tdf_io.Svg.render_die d2023 legal ~die:1 ())));
-      Test.make ~name:"ablations/refine_pass"
-        (Staged.stage (fun () ->
-             let p = Tdf_netlist.Placement.copy legal in
-             ignore (Tdf_refine.Refine.run ~iterations:1 d2023 p)));
-      Test.make ~name:"bonding/terminal_mcmf"
-        (Staged.stage (fun () ->
-             let grid =
-               Tdf_bonding.Terminal.make_grid d2023 ~size:2 ~spacing:2
-             in
-             ignore (Tdf_bonding.Terminal.assign d2023 legal grid)));
-    ]
-
-let run_micro () =
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ~stabilize:false
-      ()
-  in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] (micro_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Printf.printf "Bechamel micro-benchmarks (monotonic clock per run):\n";
-  List.iter
-    (fun (name, r) ->
-      let ns =
-        match Analyze.OLS.estimates r with Some (e :: _) -> e | _ -> nan
-      in
-      Printf.printf "  %-28s %12.1f ns/run (%8.3f ms)\n" name ns (ns /. 1e6))
-    rows;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Full reproduction: Tables II-V, Fig. 7, Fig. 8                      *)
 (* ------------------------------------------------------------------ *)
 
-let () =
-  if Sys.getenv_opt "TDFLOW_PARALLEL_ONLY" <> None then begin
-    run_parallel_bench ();
-    exit 0
-  end;
-  if Sys.getenv_opt "TDFLOW_ECO_ONLY" <> None then begin
-    run_eco_bench ();
-    exit 0
-  end;
-  if Sys.getenv_opt "TDFLOW_SERVE_ONLY" <> None then begin
-    run_serve_bench ();
-    exit 0
-  end;
-  run_solver_bench ();
-  if Sys.getenv_opt "TDFLOW_SOLVER_ONLY" <> None then exit 0;
-  if Sys.getenv_opt "TDFLOW_SKIP_PARALLEL" = None then run_parallel_bench ();
-  if Sys.getenv_opt "TDFLOW_SKIP_ECO" = None then run_eco_bench ();
-  run_serve_bench ();
+let run_paper ~scale =
   Printf.printf "== 3D-Flow reproduction run (scale %.3g) ==\n\n" scale;
-  if Sys.getenv_opt "TDFLOW_SKIP_MICRO" = None then run_micro ();
-  (* Aggregating telemetry sink over the reproduction run proper (the
-     micro-benchmarks above stay uninstrumented so their timings are not
-     perturbed); flushed to BENCH_telemetry.json at the end so the perf
-     trajectory is machine-readable. *)
+  (* Aggregating telemetry sink over the reproduction run alone; flushed
+     to BENCH_telemetry.json at the end so the perf trajectory is
+     machine-readable. *)
   let telemetry = Tdf_telemetry.Aggregate.create () in
-  Tdf_telemetry.install (Tdf_telemetry.Aggregate.sink telemetry);
+  let sink = Tdf_telemetry.Aggregate.sink telemetry in
+  Tdf_telemetry.install sink;
   print_string (Tdf_experiments.Tables.table2 ~scale ());
   print_newline ();
   let r2022 = Tdf_experiments.Runner.run_suite ~scale Tdf_benchgen.Spec.Iccad2022 in
@@ -998,12 +879,9 @@ let () =
   print_string
     (Tdf_experiments.Figures.fig7
        ~title:"FIG 7(b) — HPWL increase (%), ICCAD 2023 suite" r2023);
-  let csv = Tdf_experiments.Figures.fig7_csv (r2022 @ r2023) in
-  let csv_path = out_path "fig7_hpwl.csv" in
-  let oc = open_out csv_path in
-  output_string oc csv;
-  close_out oc;
-  Printf.printf "\nFig. 7 data written to %s\n" csv_path;
+  Printf.printf "\nFig. 7 data written to %s\n"
+    (write_out "fig7_hpwl.csv"
+       (Tdf_experiments.Figures.fig7_csv (r2022 @ r2023)));
   let no_d2d_svg, ours_svg =
     Tdf_experiments.Figures.fig8 ~scale ~dir:out_dir ()
   in
@@ -1042,18 +920,59 @@ let () =
   in
   let tgrid = Tdf_bonding.Terminal.make_grid d_bond ~size:2 ~spacing:2 in
   ignore (Tdf_bonding.Terminal.assign d_bond legal_bond tgrid);
+  Tdf_telemetry.remove sink;
   let json =
-    Tdf_telemetry.Json.Obj
+    Json.Obj
       [
-        ("scale", Tdf_telemetry.Json.Float scale);
-        ("generated_by", Tdf_telemetry.Json.String "bench/main.ml");
+        ("scale", Json.Float scale);
+        ("generated_by", Json.String "bench/main.ml");
         ("telemetry", Tdf_telemetry.Aggregate.to_json telemetry);
       ]
   in
-  let path = out_path "BENCH_telemetry.json" in
-  let oc = open_out path in
-  output_string oc (Tdf_telemetry.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
   Printf.printf "Telemetry (per-phase wall times, counters) written to %s\n"
-    path
+    (write_json "BENCH_telemetry.json" json)
+
+(* ------------------------------------------------------------------ *)
+(* Command line: the suites to run and the case scale                  *)
+(* ------------------------------------------------------------------ *)
+
+let suites =
+  [
+    ("solver", fun ~scale:_ -> run_solver_bench ());
+    ("parallel", run_parallel_bench);
+    ("eco", fun ~scale:_ -> run_eco_bench ());
+    ("serve", fun ~scale:_ -> run_serve_bench ());
+    ("paper", run_paper);
+  ]
+
+let () =
+  let scale = ref 0.05 and chosen = ref [] in
+  let set_scale s =
+    match float_of_string_opt s with
+    | Some v when v > 0. && Float.is_finite v -> scale := v
+    | _ ->
+      raise
+        (Arg.Bad
+           (Printf.sprintf "--scale: expected a positive number, got %S" s))
+  in
+  let add_suite name =
+    match List.assoc_opt name suites with
+    | Some run -> chosen := run :: !chosen
+    | None -> raise (Arg.Bad (Printf.sprintf "unknown suite %S" name))
+  in
+  (* Arg.parse exits 2 on a bad argument, before any suite has run. *)
+  Arg.parse
+    [
+      ( "--scale",
+        Arg.String set_scale,
+        "S  case scale for the parallel and paper suites (default 0.05)" );
+    ]
+    add_suite
+    "main.exe [solver|parallel|eco|serve|paper]... [--scale S]\n\
+     Runs the named suites in order, or all five when none is named.\n\
+     Artifacts land under out/.";
+  let chosen =
+    match !chosen with [] -> List.map snd suites | l -> List.rev l
+  in
+  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+  List.iter (fun run -> run ~scale:!scale) chosen

@@ -19,11 +19,6 @@ let fsync_policy_of_string s =
       (Printf.sprintf "bad fsync policy %S (expected always, never or every:N)"
          s)
 
-let fsync_policy_to_string = function
-  | Always -> "always"
-  | Never -> "never"
-  | Every n -> Printf.sprintf "every:%d" n
-
 type cfg = { dir : string; fsync : fsync_policy; max_record : int }
 
 let default_cfg ~dir = { dir; fsync = default_fsync; max_record = 64 * 1024 * 1024 }

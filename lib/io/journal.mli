@@ -53,8 +53,6 @@ val default_fsync : fsync_policy
 val fsync_policy_of_string : string -> (fsync_policy, string) result
 (** Parses ["always"], ["never"], ["every:N"] (N >= 1). *)
 
-val fsync_policy_to_string : fsync_policy -> string
-
 type cfg = {
   dir : string;  (** journal directory, created if missing *)
   fsync : fsync_policy;

@@ -208,11 +208,6 @@ let load_design_exn path =
   | Ok v -> v
   | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
 
-let read_placement_exn design text =
-  match read_placement design text with
-  | Ok v -> v
-  | Error msg -> failwith ("Text.read_placement: " ^ msg)
-
 let load_placement_exn path design =
   match load_placement path design with
   | Ok v -> v

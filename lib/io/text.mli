@@ -40,10 +40,6 @@ val load_design_exn : string -> Tdf_netlist.Design.t
 (** Raising variant of {!load_design}; the [Failure] message is prefixed
     with the file path. *)
 
-val read_placement_exn :
-  Tdf_netlist.Design.t -> string -> Tdf_netlist.Placement.t
-(** Raising variant of {!read_placement}. *)
-
 val load_placement_exn :
   string -> Tdf_netlist.Design.t -> Tdf_netlist.Placement.t
 (** Raising variant of {!load_placement}; prefixed with the file path. *)

@@ -28,15 +28,6 @@ let avg_cell_width t d =
     float_of_int sum /. float_of_int n
   end
 
-let total_cell_area t =
-  let nd = n_dies t in
-  Array.fold_left
-    (fun acc c ->
-      let d = Cell.nearest_die c ~n_dies:nd in
-      acc
-      +. float_of_int (Cell.width_on c d * t.dies.(d).Die.row_height))
-    0. t.cells
-
 let validate t =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in

@@ -31,9 +31,6 @@ val avg_cell_width : t -> int -> float
 (** [avg_cell_width t die] is the mean cell width w̄_c measured with each
     cell's width on [die]; used to choose the bin width (§III-F). *)
 
-val total_cell_area : t -> float
-(** Sum over cells of width × row height on the cell's nearest die. *)
-
 val validate : t -> (unit, string list) result
 (** Structural checks: cell ids dense and ordered, width arrays matching the
     die count, macros inside their die outline and mutually non-overlapping,

@@ -39,11 +39,6 @@ let to_string e =
   Printf.sprintf "%s/%s: %s%s" (phase_name e.phase) e.code e.detail
     (match ctx with [] -> "" | l -> " (" ^ String.concat ", " l ^ ")")
 
-let of_mcmf (err : Tdf_flow.Mcmf.error) =
-  match err with
-  | Tdf_flow.Mcmf.Negative_cycle _ ->
-    make Mcmf ~code:"negative-cycle" (Tdf_flow.Mcmf.error_to_string err)
-
 let of_flow3d (err : Tdf_legalizer.Flow3d.error) =
   match err with
   | Tdf_legalizer.Flow3d.No_segment { cell; die } ->
@@ -51,8 +46,3 @@ let of_flow3d (err : Tdf_legalizer.Flow3d.error) =
       "cell fits in no row segment of any die"
   | Tdf_legalizer.Flow3d.Injected { site } ->
     make Flow ~code:"injected" (Printf.sprintf "forced failure at %s" site)
-
-let of_grid (err : Tdf_grid.Grid.place_error) =
-  make Grid_build ~cell:err.Tdf_grid.Grid.pe_cell ~die:err.Tdf_grid.Grid.pe_die
-    ~code:"no-segment"
-    (Tdf_grid.Grid.place_error_to_string err)

@@ -34,8 +34,4 @@ val make :
 val to_string : t -> string
 (** One line: ["<phase>/<code>: <detail> (cell 12, die 0)"]. *)
 
-val of_mcmf : Tdf_flow.Mcmf.error -> t
-
 val of_flow3d : Tdf_legalizer.Flow3d.error -> t
-
-val of_grid : Tdf_grid.Grid.place_error -> t

@@ -17,12 +17,6 @@ type corruption =
   | Out_of_window of int
   | Degenerate_net of int
 
-let corruption_to_string = function
-  | Nan_gp_z c -> Printf.sprintf "cell %d: gp_z set to NaN" c
-  | Out_of_window c ->
-    Printf.sprintf "cell %d: gp position thrown outside the die window" c
-  | Degenerate_net n -> Printf.sprintf "net %d: pins reduced to one" n
-
 let corrupt ~seed ?(n_faults = 3) (d : Design.t) =
   if Design.n_cells d = 0 then invalid_arg "Fault.corrupt: design has no cells";
   let rng = Prng.create seed in

@@ -34,8 +34,6 @@ type corruption =
   | Out_of_window of int  (** cell id thrown far outside the die window *)
   | Degenerate_net of int  (** net id reduced to a single pin *)
 
-val corruption_to_string : corruption -> string
-
 val corrupt :
   seed:int ->
   ?n_faults:int ->

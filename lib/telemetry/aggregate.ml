@@ -52,11 +52,6 @@ let sink t : Core.sink = function
 let span_count t name =
   match Hashtbl.find_opt t.spans name with Some s -> s.len | None -> 0
 
-let span_total_ms t name =
-  match Hashtbl.find_opt t.spans name with
-  | Some s -> Array.fold_left ( +. ) 0. (series_to_array s) /. 1e6
-  | None -> 0.
-
 let counter_total t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 

@@ -22,8 +22,6 @@ val span_row : t -> string -> span_row
 
 val span_count : t -> string -> int
 
-val span_total_ms : t -> string -> float
-
 val counter_total : t -> string -> int
 (** 0 for counters never touched. *)
 

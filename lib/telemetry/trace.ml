@@ -15,8 +15,6 @@ let create () = { entries = [] }
 let sink t : Core.sink =
  fun ev -> t.entries <- { ev; at_ns = Timer.now_ns () } :: t.entries
 
-let n_events t = List.length t.entries
-
 let to_json t =
   let entries = List.rev t.entries in
   (* Rebase timestamps so the trace starts at ~0 µs regardless of the

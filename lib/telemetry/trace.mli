@@ -9,8 +9,6 @@ val create : unit -> t
 
 val sink : t -> Core.sink
 
-val n_events : t -> int
-
 val to_json : t -> Json.t
 
 val to_string : t -> string

@@ -34,8 +34,6 @@ let create ?wall_ms ?max_ops () =
     limited = wall_ms <> None || max_ops <> None;
   }
 
-let is_limited b = b.limited
-
 let tick b n = if b.limited then ignore (Atomic.fetch_and_add b.ops n)
 
 (* The shared [unlimited] value must never latch: a fault-injected timeout
@@ -58,10 +56,3 @@ let exhausted b =
     if over_ops || over_clock then Atomic.set b.stopped true;
     Atomic.get b.stopped
   end
-
-let remaining_ms b =
-  Option.map
-    (fun d ->
-      if Atomic.get b.stopped then 0.
-      else Float.max 0. (Timer.ns_to_ms (Int64.sub d (Timer.now_ns ()))))
-    b.deadline_ns

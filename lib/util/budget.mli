@@ -28,9 +28,6 @@ val create : ?wall_ms:int -> ?max_ops:int -> unit -> t
     elapsed wall-clock milliseconds (monotonic); [max_ops] bounds the
     total recorded by {!tick}.  Omitted limits do not constrain. *)
 
-val is_limited : t -> bool
-(** [false] exactly for {!unlimited} and budgets created with no limits. *)
-
 val tick : t -> int -> unit
 (** [tick b n] records [n] units of work (augmentations, pops, rounds —
     the solver picks its unit). *)
@@ -43,7 +40,3 @@ val exhaust : t -> unit
 (** Force the budget into the exhausted state (used by fault injection to
     simulate a timeout).  No-op on {!unlimited}: the shared default budget
     can never be poisoned. *)
-
-val remaining_ms : t -> float option
-(** Milliseconds left on the wall-clock limit, if one was set (0. once
-    exhausted). *)
