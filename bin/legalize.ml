@@ -191,14 +191,17 @@ let suite_conv =
   let print fmt s = Format.pp_print_string fmt (Tdf_benchgen.Spec.suite_slug s) in
   Arg.conv (parse, print)
 
+(* Names match case-insensitively, and every name the printer shows
+   (the help's [absent=Ours], [BonnPL]) parses back. *)
 let method_conv =
-  let parse = function
+  let parse s =
+    match String.lowercase_ascii s with
     | "tetris" -> Ok Tdf_experiments.Runner.Tetris
     | "abacus" -> Ok Tdf_experiments.Runner.Abacus
-    | "bonn" -> Ok Tdf_experiments.Runner.Bonn
+    | "bonn" | "bonnpl" -> Ok Tdf_experiments.Runner.Bonn
     | "ours" | "3dflow" | "flow3d" -> Ok Tdf_experiments.Runner.Ours
-    | "no-d2d" -> Ok Tdf_experiments.Runner.Ours_no_d2d
-    | s ->
+    | "no-d2d" | "w/o d2d" -> Ok Tdf_experiments.Runner.Ours_no_d2d
+    | _ ->
       Error
         (`Msg (Printf.sprintf "unknown method %S (tetris|abacus|bonn|ours|no-d2d)" s))
   in

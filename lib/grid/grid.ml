@@ -44,6 +44,7 @@ type t = {
   cell_disp : int array;
   die_used : float array;
   die_cap : float array;
+  stamp : int array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -78,6 +79,13 @@ let bin_widths ~len ~bin_width =
 (* [cell_disp] marker for "recompute on next read"; real values are
    distances, never negative. *)
 let stale = -1
+
+(* Bin stamps come from one process-wide counter, never from a per-grid
+   one: a search state reused across diverging clones must not see two
+   different bin states under one stamp.  0 is never drawn. *)
+let stamps = Atomic.make 1
+
+let fresh_stamp () = Atomic.fetch_and_add stamps 1
 
 let build design ~bin_width =
   assert (bin_width > 0);
@@ -207,6 +215,7 @@ let build design ~bin_width =
     cell_disp = Array.make (Design.n_cells design) stale;
     die_used = Array.make nd 0.;
     die_cap;
+    stamp = Array.make (Array.length bins) (fresh_stamp ());
   }
 
 (* ------------------------------------------------------------------ *)
@@ -246,12 +255,12 @@ let compute_cur_disp t cell =
     let w = Cell.width_on c b0.die in
     let rec span lo hi = function
       | [] ->
-        let xmax = max lo (hi - w) in
-        let x = max lo (min xmax c.Cell.gp_x) in
+        let xmax = Int.max lo (hi - w) in
+        let x = Int.max lo (Int.min xmax c.Cell.gp_x) in
         abs (x - c.Cell.gp_x) + abs (b0.y - c.Cell.gp_y)
       | (bid, _) :: rest ->
         let b = t.bins.(bid) in
-        span (min lo b.x) (max hi (b.x + b.width)) rest
+        span (Int.min lo b.x) (Int.max hi (b.x + b.width)) rest
     in
     span max_int min_int frags
 
@@ -267,8 +276,8 @@ let cur_disp t cell =
 let est_disp t ~cell b =
   let c = Design.cell t.design cell in
   let w = Cell.width_on c b.die in
-  let xmax = max b.x (b.x + b.width - w) in
-  let x = max b.x (min xmax c.Cell.gp_x) in
+  let xmax = Int.max b.x (b.x + b.width - w) in
+  let x = Int.max b.x (Int.min xmax c.Cell.gp_x) in
   abs (x - c.Cell.gp_x) + abs (b.y - c.Cell.gp_y)
 
 (* ------------------------------------------------------------------ *)
@@ -322,6 +331,14 @@ let find_slot t ~die ~x ~y ~w =
 (* Mutation                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A fragment change in [b] changes [b]'s contents and the cell's D_c(u),
+   which every bin holding a fragment of the cell prices with: one fresh
+   stamp for [b] and all of them. *)
+let touch t b ~cell =
+  let s = fresh_stamp () in
+  t.stamp.(b.id) <- s;
+  List.iter (fun (bid, _) -> t.stamp.(bid) <- s) t.cell_frags.(cell)
+
 let add_frag t b ~cell ~rho ~w =
   let dw = rho *. float_of_int w in
   (match List.find_opt (fun f -> f.cell = cell) b.frags with
@@ -334,9 +351,11 @@ let add_frag t b ~cell ~rho ~w =
     (match List.assoc_opt b.id t.cell_frags.(cell) with
     | Some r ->
       (b.id, r +. rho) :: List.remove_assoc b.id t.cell_frags.(cell)
-    | None -> (b.id, rho) :: t.cell_frags.(cell))
+    | None -> (b.id, rho) :: t.cell_frags.(cell));
+  touch t b ~cell
 
 let sub_frag t b ~cell ~rho ~w =
+  touch t b ~cell;
   let dw = rho *. float_of_int w in
   (match List.find_opt (fun f -> f.cell = cell) b.frags with
   | Some f ->
@@ -465,6 +484,7 @@ let reset t =
   Array.fill t.cell_seg 0 nc (-1);
   Array.fill t.cell_disp 0 nc stale;
   Array.fill t.die_used 0 (Array.length t.die_used) 0.;
+  Array.fill t.stamp 0 (Array.length t.stamp) (fresh_stamp ());
   Tdf_telemetry.incr "grid.resets"
 
 let reset_to t targets =
@@ -571,6 +591,7 @@ let clone t =
     cell_seg = Array.copy t.cell_seg;
     cell_disp = Array.copy t.cell_disp;
     die_used = Array.copy t.die_used;
+    stamp = Array.copy t.stamp;
   }
 
 let frag_rho_in t ~cell b =

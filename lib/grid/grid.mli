@@ -58,6 +58,16 @@ type t = {
           [cell_frags] only through them. *)
   die_used : float array;  (** per-die Σ used *)
   die_cap : float array;  (** per-die Σ cap *)
+  stamp : int array;
+      (** bin id → version of everything a selection out of the bin
+          prices with: its fragments, its [used], and D_c(u) of every
+          cell it holds.  Every mutation below gives the bins it changed
+          a fresh stamp (a fragment change in one bin also restamps every
+          other bin holding that cell, whose D_c(u) moved), {!reset}
+          restamps all bins and {!clone} copies the array.  Stamps are
+          drawn from one process-wide counter, so two grids show the same
+          stamp for a bin only when its inputs are the same in both: a
+          clone that has not touched it since the copy. *)
 }
 
 val segments_of_row :
@@ -188,7 +198,7 @@ val dirty_region : t -> seeds:int list -> radius:int -> bool array
 
 val clone : t -> t
 (** Deep copy of the mutable assignment state ([frags]/[used] of every
-    bin, [cell_frags], [cell_seg], [cell_disp], [die_used]); the static
+    bin, [cell_frags], [cell_seg], [cell_disp], [die_used], [stamp]); the static
     structure is shared with the original.  Mutations on the clone never touch the
     original — the speculation substrate of the tiled legalizer. *)
 

@@ -11,6 +11,7 @@ type state = {
   parent : int array;
   visited : int array;  (* epoch stamp *)
   heap : Heap.t;  (* hoisted search frontier, cleared per search *)
+  sel : Select.cache;  (* per-domain, like the rest of the state *)
   mutable epoch : int;
   mutable pops : int;
 }
@@ -27,6 +28,7 @@ let create_state grid =
     parent = Array.make n (-1);
     visited = Array.make n 0;
     heap = Heap.create ();
+    sel = Select.create_cache grid;
     epoch = 0;
     pops = 0;
   }
@@ -54,16 +56,10 @@ let probe ?ref_mask () =
 (* Pruning bound of Alg. 1 line 13.  The paper writes (1 + α)·cost(p_best);
    because iterative re-legalization makes costs near zero or negative, we
    use the equivalent additive form best + α·(|best| + h_r) so the slack
-   never collapses to nothing. *)
-let bound cfg grid src best =
+   never collapses to nothing.  [h_r] is the source die's row height. *)
+let bound cfg ~h_r best =
   if cfg.Config.exhaustive || best = infinity then infinity
-  else begin
-    let h_r =
-      (Tdf_netlist.Design.die grid.Grid.design src.Grid.die)
-        .Tdf_netlist.Die.row_height
-    in
-    best +. (cfg.Config.alpha *. (Float.abs best +. float_of_int h_r))
-  end
+  else best +. (cfg.Config.alpha *. (Float.abs best +. h_r))
 
 let search ?mask ?probe:pr cfg grid st ~src =
   Tdf_telemetry.span "flow3d.augment" @@ fun () ->
@@ -100,7 +96,12 @@ let search ?mask ?probe:pr cfg grid st ~src =
   let sup = Float.min (Grid.supply src) (float_of_int (Grid.cap src)) in
   if sup <= 0. then None
   else begin
-    let sels = ref 0 in
+    let sels = ref 0 and priced0 = Select.priced st.sel in
+    let h_r =
+      float_of_int
+        (Tdf_netlist.Design.die grid.Grid.design src.Grid.die)
+          .Tdf_netlist.Die.row_height
+    in
     let q = st.heap in
     Heap.clear q;
     st.cost.(src.Grid.id) <- 0.;
@@ -118,48 +119,49 @@ let search ?mask ?probe:pr cfg grid st ~src =
            its exact float cost is the stored label. *)
         let cost_u = st.cost.(uid) in
         let u = grid.Grid.bins.(uid) in
-        if cost_u <= bound cfg grid src !best_cost then begin
+        if cost_u <= bound cfg ~h_r !best_cost then begin
           let need = st.flow.(uid) -. Grid.demand u in
+          let edges = grid.Grid.edges.(uid) in
           if need > 1e-9 then
-            Array.iter
-              (fun (e : Grid.edge) ->
-                let kind_ok =
-                  match e.Grid.kind with
-                  | Grid.D2d -> cfg.Config.d2d_edges
-                  | Grid.Horizontal | Grid.Vertical -> true
-                in
-                let mask_ok =
-                  match mask with None -> true | Some m -> m.(e.Grid.dst)
-                in
-                if kind_ok && not mask_ok then note_pruned e.Grid.dst;
-                if kind_ok && mask_ok && st.visited.(e.Grid.dst) <> epoch
-                then begin
-                  let v = grid.Grid.bins.(e.Grid.dst) in
-                  incr sels;
-                  read_bin v.Grid.id;
-                  match
-                    Select.select ?util_probe cfg grid ~src:u ~dst:v
-                      ~kind:e.Grid.kind ~need
-                  with
-                  | None -> ()
-                  | Some sel ->
-                    let vid = v.Grid.id in
-                    st.visited.(vid) <- epoch;
-                    st.flow.(vid) <- sel.Select.inflow;
-                    st.cost.(vid) <- cost_u +. sel.Select.sel_cost;
-                    st.parent.(vid) <- uid;
-                    if st.cost.(vid) < bound cfg grid src !best_cost then begin
-                      if sel.Select.inflow <= Grid.demand v +. 1e-9 then begin
-                        (* candidate path (line 14) *)
-                        if st.cost.(vid) < !best_cost then begin
-                          best_cost := st.cost.(vid);
-                          best_leaf := vid
-                        end
+            for i = 0 to Array.length edges - 1 do
+              let e = edges.(i) in
+              let kind_ok =
+                match e.Grid.kind with
+                | Grid.D2d -> cfg.Config.d2d_edges
+                | Grid.Horizontal | Grid.Vertical -> true
+              in
+              let mask_ok =
+                match mask with None -> true | Some m -> m.(e.Grid.dst)
+              in
+              if kind_ok && not mask_ok then note_pruned e.Grid.dst;
+              if kind_ok && mask_ok && st.visited.(e.Grid.dst) <> epoch
+              then begin
+                let v = grid.Grid.bins.(e.Grid.dst) in
+                incr sels;
+                read_bin v.Grid.id;
+                match
+                  Select.select_cached ?util_probe st.sel cfg grid ~src:u
+                    ~edge:i ~need
+                with
+                | None -> ()
+                | Some sel ->
+                  let vid = v.Grid.id in
+                  st.visited.(vid) <- epoch;
+                  st.flow.(vid) <- sel.Select.inflow;
+                  st.cost.(vid) <- cost_u +. sel.Select.sel_cost;
+                  st.parent.(vid) <- uid;
+                  if st.cost.(vid) < bound cfg ~h_r !best_cost then begin
+                    if sel.Select.inflow <= Grid.demand v +. 1e-9 then begin
+                      (* candidate path (line 14) *)
+                      if st.cost.(vid) < !best_cost then begin
+                        best_cost := st.cost.(vid);
+                        best_leaf := vid
                       end
-                      else Heap.add q ~key:(micro st.cost.(vid)) vid
                     end
-                end)
-              grid.Grid.edges.(uid)
+                    else Heap.add q ~key:(micro st.cost.(vid)) vid
+                  end
+              end
+            done
         end;
         loop ()
       end
@@ -167,6 +169,8 @@ let search ?mask ?probe:pr cfg grid st ~src =
     loop ();
     Tdf_telemetry.count "flow3d.augment.pops" st.pops;
     if !sels > 0 then Tdf_telemetry.count "flow3d.select.calls" !sels;
+    let priced = Select.priced st.sel - priced0 in
+    if priced > 0 then Tdf_telemetry.count "flow3d.select.priced" priced;
     if !best_leaf < 0 then None
     else begin
       (* Walk parents leaf → root, then reverse. *)

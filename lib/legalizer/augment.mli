@@ -7,7 +7,9 @@
     bin whose incoming flow fits its demand is a candidate leaf (line 14).
 
     The per-bin label arrays and the frontier heap are allocated once and
-    reused across searches via epoch stamps. *)
+    reused across searches via epoch stamps.  The state also carries a
+    {!Select.cache}, so an expansion whose source bin has not changed
+    since an earlier search reuses that search's cost order. *)
 
 module Grid = Tdf_grid.Grid
 (** Canonical grid substrate (no local shim module). *)
@@ -22,7 +24,9 @@ type path = node list
 (** Root (the supply bin) first, candidate leaf last. *)
 
 type state
-(** Reusable search labels. *)
+(** Reusable search labels and selection cache.  One per domain: a state
+    may serve {!search} on a grid and on any of its clones, in any
+    interleaving. *)
 
 val create_state : Grid.t -> state
 

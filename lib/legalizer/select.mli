@@ -56,3 +56,42 @@ val select :
     outcome — so the tiled legalizer can later re-evaluate the same
     comparison against drifted die totals (the only die state a selection
     reads). *)
+
+(** {2 Selection cache}
+
+    The path search prices the same (source bin, edge) pairs over and
+    over while only the bins on one realized path change between two
+    searches.  A cache keeps, per source bin, the candidate table
+    (cells, held widths and their total) and, per (source bin,
+    edge) slot, the candidates' unit-cost order.  A table is refilled when
+    the bin's stamp ([Grid.t.stamp]) changed; an order is re-sorted when the source
+    stamp changed or, on a D2D edge, the destination stamp (the Eq. 7 term
+    reads its [used]).  Unit costs themselves, [need], the pick scan and
+    the utilization cap are evaluated on every call. *)
+
+type cache
+
+val create_cache : Grid.t -> cache
+(** An empty cache for searches on [grid] or on any clone of it (the
+    slots follow [grid]'s adjacency).  Not shared between domains. *)
+
+val select_cached :
+  ?util_probe:(die:int -> inflow:float -> ok:bool -> unit) ->
+  cache ->
+  Config.t ->
+  Grid.t ->
+  src:Grid.bin ->
+  edge:int ->
+  need:float ->
+  selection option
+(** [select_cached c cfg grid ~src ~edge ~need] is
+    [select cfg grid ~src ~dst ~kind ~need] for the [edge]-th out-edge of
+    [src] ([grid.edges.(src.id).(edge)], giving [dst] and [kind]), with
+    the table and the order taken from [c] when still valid.  Bins with
+    more than 256 candidates are priced from scratch.  A configuration
+    other than the one the orders were sorted under (compared physically)
+    empties every slot first. *)
+
+val priced : cache -> int
+(** Orders sorted so far by [c]: slot refills plus from-scratch pricings
+    of oversized bins. *)

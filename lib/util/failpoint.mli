@@ -6,8 +6,8 @@
     single hashtable miss on an empty table, so the hooks cost nothing in
     normal operation.
 
-    The user-facing arming API (seeded corruption, standard site names)
-    lives in [Tdf_robust.Fault]; this module is only the registry, kept in
+    The tests' arming API (seeded corruption, standard site names) lives
+    in [test/fault.ml]; this module is only the registry, kept in
     [Tdf_util] so the low-level solvers can consult it without depending
     on the robustness layer. *)
 

@@ -1,10 +1,14 @@
-(* Flow-pass kernel: the grid-owned D_c(u) cache and the row-pruned
-   relief, each checked against a from-scratch reference.
+(* Flow-pass kernel: the grid-owned D_c(u) cache, the selection cache
+   and the row-pruned relief, each checked against a from-scratch
+   reference.
 
    - The cache must equal a recomputation after every kind of grid
      mutation, on every clone, and a search state reused across diverging
      clones must behave exactly like a fresh one (a cache keyed to the
      searcher instead of the grid fails that case).
+   - Every mutation must restamp the bins whose pricing inputs it
+     changed, and a cached selection must equal [Select.select] from
+     scratch, with one cache serving two diverging clones.
    - The row-pruned relief must pick the same (cell, bin) as the original
      full scan kept in [Ref_relief], including on equal-cost ties, under
      masks, with and without D2D edges, and on dies sitting exactly at
@@ -52,6 +56,39 @@ let coherent g =
 
 let random_bin rng g = g.G.bins.(Prng.int rng (G.n_bins g))
 
+(* One grid mutation through a public mutator: [k] = 0 re-places the
+   cell, 1 moves a fraction of it to a neighbouring bin, 2 moves it whole,
+   3 removes it, 4 resets the grid and 5 re-places every cell. *)
+let mutate rng g ~cell k =
+  let n = Design.n_cells g.G.design in
+  match k with
+  | 0 ->
+    if G.segment_of_cell g cell >= 0 then G.remove_cell g ~cell;
+    ignore
+      (G.place_cell g ~cell ~die:(Prng.int rng 2) ~x:(Prng.int rng 120)
+         ~y:(Prng.int rng 50))
+  | 1 ->
+    let sid = G.segment_of_cell g cell in
+    if sid >= 0 then begin
+      let s = g.G.segments.(sid) in
+      if Array.length s.G.s_bins >= 2 then begin
+        let i = Prng.int rng (Array.length s.G.s_bins - 1) in
+        let b0 = g.G.bins.(s.G.s_bins.(i)) in
+        let b1 = g.G.bins.(s.G.s_bins.(i + 1)) in
+        if Prng.bool rng then
+          G.move_fraction g ~cell ~src:b0 ~dst:b1 ~rho:(Prng.float rng 1.0)
+        else G.move_fraction g ~cell ~src:b1 ~dst:b0 ~rho:(Prng.float rng 1.0)
+      end
+    end
+  | 2 -> G.move_whole g ~cell ~dst:(random_bin rng g)
+  | 3 -> G.remove_cell g ~cell
+  | 4 -> G.reset g
+  | _ ->
+    let targets =
+      Array.init n (fun _ -> (Prng.int rng 120, Prng.int rng 50, Prng.int rng 2))
+    in
+    ignore (G.reset_to g targets)
+
 let prop_cache_coherent =
   Props.test "D_c(u) cache coherent under mutations and clones" ~count:60
     Props.(pair (int_range 0 1_000_000) (int_range 8 30))
@@ -68,35 +105,8 @@ let prop_cache_coherent =
           let g = Prng.choose rng !pool in
           let cell = Prng.int rng n in
           (match Prng.int rng 7 with
-          | 0 ->
-            if G.segment_of_cell g cell >= 0 then G.remove_cell g ~cell;
-            ignore
-              (G.place_cell g ~cell ~die:(Prng.int rng 2) ~x:(Prng.int rng 120)
-                 ~y:(Prng.int rng 50))
-          | 1 ->
-            let sid = G.segment_of_cell g cell in
-            if sid >= 0 then begin
-              let s = g.G.segments.(sid) in
-              if Array.length s.G.s_bins >= 2 then begin
-                let i = Prng.int rng (Array.length s.G.s_bins - 1) in
-                let b0 = g.G.bins.(s.G.s_bins.(i)) in
-                let b1 = g.G.bins.(s.G.s_bins.(i + 1)) in
-                if Prng.bool rng then
-                  G.move_fraction g ~cell ~src:b0 ~dst:b1 ~rho:(Prng.float rng 1.0)
-                else
-                  G.move_fraction g ~cell ~src:b1 ~dst:b0 ~rho:(Prng.float rng 1.0)
-              end
-            end
-          | 2 -> G.move_whole g ~cell ~dst:(random_bin rng g)
-          | 3 -> G.remove_cell g ~cell
-          | 4 -> G.reset g
-          | 5 ->
-            let targets =
-              Array.init n (fun _ ->
-                  (Prng.int rng 120, Prng.int rng 50, Prng.int rng 2))
-            in
-            ignore (G.reset_to g targets)
-          | _ -> pool := Array.append !pool [| G.clone g |]);
+          | 6 -> pool := Array.append !pool [| G.clone g |]
+          | k -> mutate rng g ~cell k);
           ok := Array.for_all coherent !pool
         end
       done;
@@ -168,6 +178,153 @@ let test_shared_state_across_clones () =
     Alcotest.(check bool) "clone b coherent" true (coherent b)
   done
 
+let grid_of design ~bin_width =
+  let g = G.build design ~bin_width in
+  G.assign_initial_exn g (Placement.initial design);
+  g
+
+(* Everything a selection out of [b] reads from the assignment: its
+   fragments in list order (the order fixes candidate indices, so ties),
+   D_c(u) of each of their cells, and [used] (the Eq. 7 term of a D2D
+   edge into [b]). *)
+let pricing_inputs g (b : G.bin) =
+  ( List.map
+      (fun (f : G.frag) -> (f.G.cell, f.G.rho, ref_cur_disp g f.G.cell))
+      b.G.frags,
+    b.G.used )
+
+(* A mutation that changes a bin's pricing inputs must restamp it, on
+   whichever clone it ran; and since stamps are process-wide, two grids
+   showing one stamp for a bin must agree on its inputs. *)
+let prop_stamps_track_inputs =
+  Props.test "every mutation restamps the bins whose pricing inputs changed"
+    ~count:60
+    Props.(pair (int_range 0 1_000_000) (int_range 8 30))
+    (fun (seed, bin_width) ->
+      let d = Fixtures.random ~n:40 ~with_macros:(seed mod 2 = 0) seed in
+      let n = Design.n_cells d in
+      let rng = Prng.create (seed + 13) in
+      let g0 = G.build d ~bin_width in
+      G.assign_initial_exn g0 (Placement.initial d);
+      let pool = ref [| G.clone g0; G.clone g0 |] in
+      let inputs g = Array.map (pricing_inputs g) g.G.bins in
+      let ok = ref true in
+      for _ = 1 to 120 do
+        if !ok then begin
+          let g = Prng.choose rng !pool in
+          let stamps = Array.copy g.G.stamp and before = inputs g in
+          (match Prng.int rng 7 with
+          | 6 ->
+            let c = G.clone g in
+            if c.G.stamp <> g.G.stamp then ok := false;
+            pool := Array.append !pool [| c |]
+          | k -> mutate rng g ~cell:(Prng.int rng n) k);
+          let after = inputs g in
+          Array.iteri
+            (fun i s -> if after.(i) <> before.(i) && g.G.stamp.(i) = s then ok := false)
+            stamps;
+          let a = !pool.(0) and b = !pool.(1) in
+          let ia = inputs a and ib = inputs b in
+          Array.iteri
+            (fun i s -> if s = b.G.stamp.(i) && ia.(i) <> ib.(i) then ok := false)
+            a.G.stamp
+        end
+      done;
+      !ok)
+
+(* The search's cached selection against [Select.select] from scratch:
+   one cache serves two diverging clones, mutated through every mutator,
+   on random (bin, edge, need) triples, so most slots are tried again
+   after their bins changed or did not.  The configuration flips now and
+   then between the default and one that clamps costs at 0 with no fixed
+   D2D cost: the clamp turns cheap candidates into ties, so it reorders
+   costs, and under it a D2D order also depends on the destination's
+   [used]. *)
+let prop_select_cache_matches =
+  Props.test "cached selection equals a from-scratch selection" ~count:40
+    Props.(pair (int_range 0 1_000_000) (int_range 8 30))
+    (fun (seed, bin_width) ->
+      let d = Fixtures.random ~n:80 ~with_macros:(seed mod 2 = 0) seed in
+      let n = Design.n_cells d in
+      let rng = Prng.create (seed + 17) in
+      let g0 = G.build d ~bin_width in
+      G.assign_initial_exn g0 (Placement.initial d);
+      (* far from their initial positions, cells have negative costs *)
+      mutate rng g0 ~cell:0 5;
+      let clones = [| G.clone g0; G.clone g0 |] in
+      let cache = L.Select.create_cache g0 in
+      let clamped =
+        { Config.default with Config.allow_negative_cost = false; d2d_base_cost = 0. }
+      in
+      let cfg = ref Config.default in
+      let ok = ref true and found = ref 0 in
+      for _ = 1 to 40 do
+        if !ok then begin
+          let g = Prng.choose rng clones in
+          (* resets are rare, so most steps move a few bins' contents *)
+          let k = if Prng.int rng 10 = 0 then 4 + Prng.int rng 2 else Prng.int rng 4 in
+          mutate rng g ~cell:(Prng.int rng n) k;
+          if Prng.int rng 8 = 0 then
+            cfg := if !cfg == clamped then Config.default else clamped;
+          let cfg = !cfg in
+          (* every slot of one clone, one random need each *)
+          let g = Prng.choose rng clones in
+          Array.iter
+            (fun (src : G.bin) ->
+              Array.iteri
+                (fun edge (e : G.edge) ->
+                  let need =
+                    if Prng.int rng 10 = 0 then 0.
+                    else Prng.float rng (1.2 *. src.G.used)
+                  in
+                  let want =
+                    L.Select.select cfg g ~src ~dst:g.G.bins.(e.G.dst)
+                      ~kind:e.G.kind ~need
+                  in
+                  let got = L.Select.select_cached cache cfg g ~src ~edge ~need in
+                  if got <> want then ok := false;
+                  if want <> None && need > 0. then incr found)
+                g.G.edges.(src.G.id))
+            g.G.bins
+        end
+      done;
+      (* not vacuous: fewer sorts than priced selections means slots hit *)
+      !ok && L.Select.priced cache < !found)
+
+(* A bin holding more candidates than a slot order can index is priced
+   from scratch on every call, and still selects what [select] does. *)
+let test_select_large_bin () =
+  let dies =
+    [|
+      Die.make ~index:0 ~outline:(Rect.make ~x:0 ~y:0 ~w:400 ~h:20) ~row_height:10 ();
+      Die.make ~index:1 ~outline:(Rect.make ~x:0 ~y:0 ~w:400 ~h:20) ~row_height:10 ();
+    |]
+  in
+  let cells =
+    Array.init 300 (fun id ->
+        Cell.make ~id ~widths:[| 1 + (id mod 3); 2 |] ~gp_x:(id mod 50) ~gp_y:0
+          ~gp_z:0. ())
+  in
+  let g = grid_of (Design.make ~name:"pile" ~dies ~cells ()) ~bin_width:200 in
+  let src = g.G.bins.(0) in
+  Alcotest.(check bool) "over 256 candidates" true (List.length src.G.frags > 256);
+  let cache = L.Select.create_cache g in
+  let cfg = Config.default in
+  Array.iteri
+    (fun edge (e : G.edge) ->
+      List.iter
+        (fun need ->
+          let want =
+            L.Select.select cfg g ~src ~dst:g.G.bins.(e.G.dst) ~kind:e.G.kind ~need
+          in
+          let before = L.Select.priced cache in
+          let got = L.Select.select_cached cache cfg g ~src ~edge ~need in
+          Alcotest.(check bool) "same selection" true (got = want);
+          Alcotest.(check int) "priced from scratch" (before + 1)
+            (L.Select.priced cache))
+        [ 5.; 40.; 150. ])
+    g.G.edges.(src.G.id)
+
 (* A design built for ties: coarse global positions (x on a 10-grid, y on
    a 5-grid), three widths, and a top die whose rows differ from the
    bottom die's in height and offset. *)
@@ -193,11 +350,6 @@ let tie_design rng ~max_util =
           ~gp_z:(Prng.float rng 1.0) ())
   in
   Design.make ~name:"ties" ~dies ~cells ()
-
-let grid_of design ~bin_width =
-  let g = G.build design ~bin_width in
-  G.assign_initial_exn g (Placement.initial design);
-  g
 
 (* Rebuild [design] so that die [d] is exactly at its cap once [w] more
    width arrives: [die_used] depends only on the assignment, so the
@@ -314,6 +466,10 @@ let suite =
     prop_cache_coherent;
     Alcotest.test_case "search state shared across diverging clones" `Quick
       test_shared_state_across_clones;
+    prop_stamps_track_inputs;
+    prop_select_cache_matches;
+    Alcotest.test_case "selection out of an oversized bin" `Quick
+      test_select_large_bin;
     prop_relief_matches_reference;
     Alcotest.test_case "relief at the utilization boundary" `Quick
       test_relief_util_boundary;

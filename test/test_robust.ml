@@ -5,7 +5,6 @@ module Design = Tdf_netlist.Design
 module Cell = Tdf_netlist.Cell
 module Net = Tdf_netlist.Net
 module Validate = Tdf_robust.Validate
-module Fault = Tdf_robust.Fault
 module Pipeline = Tdf_robust.Pipeline
 module Error = Tdf_robust.Error
 module Legality = Tdf_metrics.Legality
