@@ -34,7 +34,12 @@ type segment = {
 }
 
 type t = {
-  design : Design.t;
+  mutable design : Design.t;
+  n_dies : int;
+  mutable gp_x : int array;
+  mutable gp_y : int array;
+  mutable weight : float array;
+  mutable widths : int array;
   bins : bin array;
   segments : segment array;
   row_segments : int array array array;
@@ -86,6 +91,16 @@ let stale = -1
 let stamps = Atomic.make 1
 
 let fresh_stamp () = Atomic.fetch_and_add stamps 1
+
+(* The per-cell inputs of D_c: gp anchors, weights and widths
+   ([cell * n_dies + die]), copied out of the design's records. *)
+let geometry design =
+  let n = Design.n_cells design and nd = Design.n_dies design in
+  let cell = Design.cell design in
+  ( Array.init n (fun c -> (cell c).Cell.gp_x),
+    Array.init n (fun c -> (cell c).Cell.gp_y),
+    Array.init n (fun c -> (cell c).Cell.weight),
+    Array.init (n * nd) (fun k -> Cell.width_on (cell (k / nd)) (k mod nd)) )
 
 let build design ~bin_width =
   assert (bin_width > 0);
@@ -204,8 +219,14 @@ let build design ~bin_width =
   Array.iter
     (fun b -> die_cap.(b.die) <- die_cap.(b.die) +. float_of_int b.width)
     bins;
+  let gp_x, gp_y, weight, widths = geometry design in
   {
     design;
+    n_dies = nd;
+    gp_x;
+    gp_y;
+    weight;
+    widths;
     bins;
     segments;
     row_segments;
@@ -243,6 +264,8 @@ let util_ok t ~die ~inflow =
   t.die_cap.(die) <= 0.
   || (t.die_used.(die) +. inflow) /. t.die_cap.(die) <= max_util
 
+let cell_width t ~cell ~die = t.widths.((cell * t.n_dies) + die)
+
 (* D_c(u) from scratch.  All fragments of a cell share one segment, so the
    die and row read off the first one hold for all; only the x span of the
    fragment bins varies. *)
@@ -250,14 +273,14 @@ let compute_cur_disp t cell =
   match t.cell_frags.(cell) with
   | [] -> 0
   | (bid0, _) :: _ as frags ->
-    let c = Design.cell t.design cell in
     let b0 = t.bins.(bid0) in
-    let w = Cell.width_on c b0.die in
+    let w = cell_width t ~cell ~die:b0.die in
+    let gx = t.gp_x.(cell) in
     let rec span lo hi = function
       | [] ->
         let xmax = Int.max lo (hi - w) in
-        let x = Int.max lo (Int.min xmax c.Cell.gp_x) in
-        abs (x - c.Cell.gp_x) + abs (b0.y - c.Cell.gp_y)
+        let x = Int.max lo (Int.min xmax gx) in
+        abs (x - gx) + abs (b0.y - t.gp_y.(cell))
       | (bid, _) :: rest ->
         let b = t.bins.(bid) in
         span (Int.min lo b.x) (Int.max hi (b.x + b.width)) rest
@@ -274,11 +297,11 @@ let cur_disp t cell =
   end
 
 let est_disp t ~cell b =
-  let c = Design.cell t.design cell in
-  let w = Cell.width_on c b.die in
+  let w = cell_width t ~cell ~die:b.die in
+  let gx = t.gp_x.(cell) in
   let xmax = Int.max b.x (b.x + b.width - w) in
-  let x = Int.max b.x (Int.min xmax c.Cell.gp_x) in
-  abs (x - c.Cell.gp_x) + abs (b.y - c.Cell.gp_y)
+  let x = Int.max b.x (Int.min xmax gx) in
+  abs (x - gx) + abs (b.y - t.gp_y.(cell))
 
 (* ------------------------------------------------------------------ *)
 (* Slot search                                                         *)
@@ -376,8 +399,7 @@ let sub_frag t b ~cell ~rho ~w =
 
 let distribute_in_segment t ~cell ~sid ~x =
   let s = t.segments.(sid) in
-  let c = Design.cell t.design cell in
-  let w = Cell.width_on c s.s_die in
+  let w = cell_width t ~cell ~die:s.s_die in
   let x = max s.s_lo (min (max s.s_lo (s.s_hi - w)) x) in
   let span = Interval.make x (x + w) in
   let total = ref 0. in
@@ -421,11 +443,7 @@ let place_error_to_string e =
 
 let place_cell t ~cell ~die ~x ~y =
   assert (t.cell_seg.(cell) = -1);
-  let c = Design.cell t.design cell in
-  let try_die d =
-    let w = Cell.width_on c d in
-    find_slot t ~die:d ~x ~y ~w
-  in
+  let try_die d = find_slot t ~die:d ~x ~y ~w:(cell_width t ~cell ~die:d) in
   let slot =
     match try_die die with
     | Some _ as s -> s
@@ -506,8 +524,7 @@ let remove_cell t ~cell =
   List.iter
     (fun (bid, rho) ->
       let b = t.bins.(bid) in
-      let c = Design.cell t.design cell in
-      sub_frag t b ~cell ~rho ~w:(Cell.width_on c b.die))
+      sub_frag t b ~cell ~rho ~w:(cell_width t ~cell ~die:b.die))
     frags;
   t.cell_frags.(cell) <- [];
   t.cell_seg.(cell) <- -1;
@@ -515,8 +532,7 @@ let remove_cell t ~cell =
 
 let move_fraction t ~cell ~src ~dst ~rho =
   assert (src.seg = dst.seg);
-  let c = Design.cell t.design cell in
-  let w = Cell.width_on c src.die in
+  let w = cell_width t ~cell ~die:src.die in
   let avail =
     match List.find_opt (fun f -> f.cell = cell) src.frags with
     | Some f -> f.rho
@@ -530,8 +546,7 @@ let move_fraction t ~cell ~src ~dst ~rho =
 
 let move_whole t ~cell ~dst =
   remove_cell t ~cell;
-  let c = Design.cell t.design cell in
-  add_frag t dst ~cell ~rho:1.0 ~w:(Cell.width_on c dst.die);
+  add_frag t dst ~cell ~rho:1.0 ~w:(cell_width t ~cell ~die:dst.die);
   t.cell_seg.(cell) <- dst.seg
 
 let cell_bins t cell = List.map fst t.cell_frags.(cell)
@@ -594,6 +609,22 @@ let clone t =
     stamp = Array.copy t.stamp;
   }
 
+(* Every cached D_c(u) and every order priced from the old anchors is
+   stale once they change: all cells and all bins are invalidated. *)
+let rebind t design =
+  if
+    Design.n_cells design <> Design.n_cells t.design
+    || Design.n_dies design <> t.n_dies
+  then invalid_arg "Grid.rebind: cell or die count differs";
+  let gp_x, gp_y, weight, widths = geometry design in
+  t.design <- design;
+  t.gp_x <- gp_x;
+  t.gp_y <- gp_y;
+  t.weight <- weight;
+  t.widths <- widths;
+  Array.fill t.cell_disp 0 (Array.length t.cell_disp) stale;
+  Array.fill t.stamp 0 (Array.length t.stamp) (fresh_stamp ())
+
 let frag_rho_in t ~cell b =
   match List.assoc_opt b.id t.cell_frags.(cell) with Some r -> r | None -> 0.
 
@@ -634,6 +665,14 @@ let check_invariants t =
               fail "cell %d fragment in segment %d but registered in %d" cell
                 t.bins.(bid).seg t.cell_seg.(cell))
         frags;
+      let c = Design.cell t.design cell in
+      if
+        !result = Ok ()
+        && (t.gp_x.(cell) <> c.Cell.gp_x
+           || t.gp_y.(cell) <> c.Cell.gp_y
+           || t.weight.(cell) <> c.Cell.weight
+           || Array.sub t.widths (cell * t.n_dies) t.n_dies <> c.Cell.widths)
+      then result := fail "cell %d geometry differs from the design's" cell;
       let cached = t.cell_disp.(cell) in
       if !result = Ok () && cached <> stale && cached <> compute_cur_disp t cell
       then

@@ -44,8 +44,19 @@ type segment = {
   s_bins : int array;  (** bin ids in increasing x *)
 }
 
-type t = {
-  design : Tdf_netlist.Design.t;
+type t = private {
+  mutable design : Tdf_netlist.Design.t;
+      (** changed only by {!rebind}, which keeps the arrays below in step *)
+  n_dies : int;
+  mutable gp_x : int array;  (** cell → initial x of [design]'s cell *)
+  mutable gp_y : int array;  (** cell → initial y *)
+  mutable weight : float array;  (** cell → movement-cost weight *)
+  mutable widths : int array;
+      (** [cell * n_dies + die] → the cell's width on that die.  These four
+          flat copies of [design]'s cell records are what D_c reads
+          ({!cur_disp}, {!est_disp}) and what the flow-pass search prices
+          with; they never change after {!build} except through
+          {!rebind}, and {!clone} shares them. *)
   bins : bin array;
   segments : segment array;
   row_segments : int array array array;  (** die → row → segment ids (x order) *)
@@ -82,6 +93,9 @@ val build : Tdf_netlist.Design.t -> bin_width:int -> t
     post-optimization). *)
 
 val n_bins : t -> int
+
+val cell_width : t -> cell:int -> die:int -> int
+(** The cell's width on [die], read from the flat [widths] array. *)
 
 val cap : bin -> int
 
@@ -198,9 +212,23 @@ val dirty_region : t -> seeds:int list -> radius:int -> bool array
 
 val clone : t -> t
 (** Deep copy of the mutable assignment state ([frags]/[used] of every
-    bin, [cell_frags], [cell_seg], [cell_disp], [die_used], [stamp]); the static
-    structure is shared with the original.  Mutations on the clone never touch the
-    original — the speculation substrate of the tiled legalizer. *)
+    bin, [cell_frags], [cell_seg], [cell_disp], [die_used], [stamp]); the
+    static structure, the design and its per-cell arrays are shared with
+    the original (a later {!rebind} of either one rebinds only that one).
+    Mutations on the clone never touch the original — the speculation
+    substrate of the tiled legalizer. *)
+
+val rebind : t -> Tdf_netlist.Design.t -> unit
+(** [rebind t design] makes [design] the grid's design in place: the flat
+    per-cell arrays are rebuilt from it, every cached D_c(u) is marked
+    stale and every bin gets a fresh stamp, so nothing priced from the old
+    anchors survives.  The assignment itself is kept.  [design] must be
+    structurally the design [t] was built for — same dies, macros and cell
+    count, only cell anchors, widths and weights may differ — and the cell
+    and die counts are checked ([Invalid_argument] otherwise).  The record
+    is private, so this is the only way to change a grid's design: a
+    record copy [{ t with design }] would pair the new design with the old
+    anchors. *)
 
 val frag_rho_in : t -> cell:int -> bin -> float
 (** Fraction of [cell] currently in [bin] (0 when absent). *)
@@ -213,5 +241,6 @@ val cells_of_segment : t -> int -> int list
 
 val check_invariants : t -> (unit, string) result
 (** Test hook: per-cell Σρ = 1 (or 0 if unassigned), single-segment
-    fragments, every non-stale [cell_disp] entry equal to a from-scratch
-    {!cur_disp}, [used] consistent with [frags]. *)
+    fragments, the flat per-cell arrays equal to [design]'s cell records,
+    every non-stale [cell_disp] entry equal to a from-scratch {!cur_disp},
+    [used] consistent with [frags]. *)

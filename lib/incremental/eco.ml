@@ -150,9 +150,10 @@ let fresh_cache () =
    rebuilt grid would be structurally identical: same dies and macros
    (deltas only ever add macros, which [Perturb] flags as [structural]),
    same cell count (the grid's per-cell state arrays are sized by it) and
-   same derived bin width (it feeds segment partitioning).  Cell widths
-   and gp anchors are read through [grid.design] at solve time, so
-   rebinding the record to the new design is enough — no array rebuild. *)
+   same derived bin width (it feeds segment partitioning).  The grid
+   keeps flat copies of every cell's gp anchor, weight and widths, so a
+   reused grid is rebound with [Grid.rebind], which recopies them from the
+   new design; only the bins, segments and adjacency are reused. *)
 let grid_for ~cache ~(p : Perturb.t) design bin_width =
   match cache.grid with
   | Some (g, bw)
@@ -162,8 +163,7 @@ let grid_for ~cache ~(p : Perturb.t) design bin_width =
             = Tdf_netlist.Design.n_cells design ->
     Tdf_telemetry.incr "eco.grid_reuses";
     cache.reused_last <- true;
-    let g = { g with Grid.design } in
-    cache.grid <- Some (g, bin_width);
+    Grid.rebind g design;
     g
   | _ ->
     Tdf_telemetry.incr "eco.grid_builds";

@@ -102,7 +102,9 @@ val run :
     transparently otherwise; either way every [eco] call produces results
     {b byte-identical} to a one-shot {!run} on the same (design, placement,
     delta) triple — reuse is a wall-clock optimization only, which the
-    server test suite enforces.
+    test "warm session equals one-shot eco" ([test/test_incremental.ml])
+    checks byte for byte over a stream of move deltas.  A reused grid is
+    rebound to each perturbed design with {!Tdf_grid.Grid.rebind}.
 
     Telemetry: ["eco.grid_reuses"] / ["eco.grid_builds"] count the cache
     behavior on top of the counters {!run} already emits. *)

@@ -110,63 +110,66 @@ let search ?mask ?probe:pr cfg grid st ~src =
     st.visited.(src.Grid.id) <- epoch;
     Heap.add q ~key:0 src.Grid.id;
     let best_cost = ref infinity and best_leaf = ref (-1) in
-    let rec loop () =
-      if not (Heap.is_empty q) then begin
-        let uid = Heap.top_value q in
-        Heap.remove_top q;
-        st.pops <- st.pops + 1;
-        (* Each bin is pushed at most once per epoch (visited on push), so
-           its exact float cost is the stored label. *)
-        let cost_u = st.cost.(uid) in
-        let u = grid.Grid.bins.(uid) in
-        if cost_u <= bound cfg ~h_r !best_cost then begin
-          let need = st.flow.(uid) -. Grid.demand u in
-          let edges = grid.Grid.edges.(uid) in
-          if need > 1e-9 then
-            for i = 0 to Array.length edges - 1 do
-              let e = edges.(i) in
-              let kind_ok =
-                match e.Grid.kind with
-                | Grid.D2d -> cfg.Config.d2d_edges
-                | Grid.Horizontal | Grid.Vertical -> true
-              in
-              let mask_ok =
-                match mask with None -> true | Some m -> m.(e.Grid.dst)
-              in
-              if kind_ok && not mask_ok then note_pruned e.Grid.dst;
-              if kind_ok && mask_ok && st.visited.(e.Grid.dst) <> epoch
+    (* [bound] of the best cost so far, updated with it *)
+    let limit = ref (bound cfg ~h_r infinity) in
+    let sums = Select.sums () in
+    while not (Heap.is_empty q) do
+      let uid = Heap.top_value q in
+      Heap.remove_top q;
+      st.pops <- st.pops + 1;
+      (* Each bin is pushed at most once per epoch (visited on push), so
+         its exact float cost is the stored label. *)
+      let cost_u = st.cost.(uid) in
+      let u = grid.Grid.bins.(uid) in
+      if cost_u <= !limit then begin
+        let need = st.flow.(uid) -. Grid.demand u in
+        let edges = grid.Grid.edges.(uid) in
+        if need > 1e-9 then begin
+          (* [u]'s candidate table, once for all its out-edges *)
+          let loaded = Select.load st.sel cfg grid ~src:u ~need in
+          for i = 0 to Array.length edges - 1 do
+            let e = edges.(i) in
+            let kind_ok =
+              match e.Grid.kind with
+              | Grid.D2d -> cfg.Config.d2d_edges
+              | Grid.Horizontal | Grid.Vertical -> true
+            in
+            let mask_ok =
+              match mask with None -> true | Some m -> m.(e.Grid.dst)
+            in
+            if kind_ok && not mask_ok then note_pruned e.Grid.dst;
+            let vid = e.Grid.dst in
+            if kind_ok && mask_ok && st.visited.(vid) <> epoch then begin
+              incr sels;
+              read_bin vid;
+              if
+                loaded
+                && Select.select_cost ?util_probe st.sel cfg grid ~src:u ~edge:i
+                     ~need sums
               then begin
-                let v = grid.Grid.bins.(e.Grid.dst) in
-                incr sels;
-                read_bin v.Grid.id;
-                match
-                  Select.select_cached ?util_probe st.sel cfg grid ~src:u
-                    ~edge:i ~need
-                with
-                | None -> ()
-                | Some sel ->
-                  let vid = v.Grid.id in
-                  st.visited.(vid) <- epoch;
-                  st.flow.(vid) <- sel.Select.inflow;
-                  st.cost.(vid) <- cost_u +. sel.Select.sel_cost;
-                  st.parent.(vid) <- uid;
-                  if st.cost.(vid) < bound cfg ~h_r !best_cost then begin
-                    if sel.Select.inflow <= Grid.demand v +. 1e-9 then begin
-                      (* candidate path (line 14) *)
-                      if st.cost.(vid) < !best_cost then begin
-                        best_cost := st.cost.(vid);
-                        best_leaf := vid
-                      end
+                let inflow = sums.Select.s_inflow in
+                let cost_v = cost_u +. sums.Select.s_cost in
+                st.visited.(vid) <- epoch;
+                st.flow.(vid) <- inflow;
+                st.cost.(vid) <- cost_v;
+                st.parent.(vid) <- uid;
+                if cost_v < !limit then begin
+                  if inflow <= Grid.demand grid.Grid.bins.(vid) +. 1e-9 then begin
+                    (* candidate path (line 14) *)
+                    if cost_v < !best_cost then begin
+                      best_cost := cost_v;
+                      best_leaf := vid;
+                      limit := bound cfg ~h_r cost_v
                     end
-                    else Heap.add q ~key:(micro st.cost.(vid)) vid
                   end
+                  else Heap.add q ~key:(micro cost_v) vid
+                end
               end
-            done
-        end;
-        loop ()
+            end
+          done
+        end
       end
-    in
-    loop ();
+    done;
     Tdf_telemetry.count "flow3d.augment.pops" st.pops;
     if !sels > 0 then Tdf_telemetry.count "flow3d.select.calls" !sels;
     let priced = Select.priced st.sel - priced0 in

@@ -22,8 +22,11 @@ val relieve :
     die utilization caps, {!Grid.util_ok}).  The cost is
     {!Grid.est_disp}; ties go to the earliest fragment of [src.frags],
     then to the lowest bin id.  Rows are visited outward from the cell's
-    nearest row and a side stops once the row distance alone exceeds the
-    best cost, which picks exactly what a scan of every bin would.
+    nearest row, and the bins of each row segment outward from the one
+    holding the cell's initial x; a direction stops once its distance
+    alone (the row's y distance, then that plus the bin's x distance)
+    can no longer win, which picks exactly what a scan of every bin
+    would.
     Returns the [(cell, destination)] taken so the tiled commit loop can
     invalidate speculations reading the touched region, or [None] when no
     cell of [src] fits anywhere.  [mask], when given, restricts

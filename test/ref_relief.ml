@@ -1,6 +1,6 @@
 (* Reference relief for the differential tests: a verbatim copy of the
    original O(fragments × bins) scan of [Tdf_legalizer.Relief.relieve],
-   kept only under test/ so the row-pruned scan can be checked for the
+   kept only under test/ so the pruned scan can be checked for the
    exact same (cell, bin) pick.  Telemetry is stripped; the scan, its
    utilization check and its tie-break (first strict minimum in fragment
    order, then bin id order) are untouched. *)

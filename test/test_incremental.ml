@@ -215,6 +215,68 @@ let test_eco_freezes_outside_region () =
 
 (* ---- differential properties ---------------------------------------- *)
 
+(* Move-only ECO deltas in the style of the performance ledger's: [k]
+   distinct cells, each moved up to 40 dbu from its current position
+   along x and y (clamped to the die outline) and kept on its die. *)
+let jitter_delta rng design (prev : Placement.t) k =
+  let n = Design.n_cells design in
+  let outline = (Design.die design 0).Tdf_netlist.Die.outline in
+  let jitter extent v = max 0 (min (extent - 1) (v - 40 + Prng.int rng 81)) in
+  let seen = Array.make n false in
+  let ops = ref [] in
+  while List.length !ops < k do
+    let c = Prng.int rng n in
+    if not seen.(c) then begin
+      seen.(c) <- true;
+      ops :=
+        Delta.Move
+          {
+            cell = c;
+            x = jitter outline.Tdf_geometry.Rect.w prev.Placement.x.(c);
+            y = jitter outline.Tdf_geometry.Rect.h prev.Placement.y.(c);
+            die = prev.Placement.die.(c);
+          }
+        :: !ops
+    end
+  done;
+  List.rev !ops
+
+(* A warm session is a wall-clock optimization only.  Twenty 1% move-only
+   deltas stream through one [Eco.Session], and after each one the
+   session's result must have the bytes a one-shot [Eco.run] gives on the
+   same (design, placement, delta).  Moves give the cells fresh gp
+   anchors while keeping the design's structure, so the session reuses
+   its grid for every delta after the first and must rebind it to the new
+   anchors. *)
+let test_warm_eco_equals_one_shot () =
+  let d =
+    Tdf_benchgen.Gen.generate_by_name ~scale:0.1 Tdf_benchgen.Spec.Iccad2023
+      "case2"
+  in
+  let prev = (Flow3d.legalize d).Flow3d.placement in
+  let k = max 1 (Design.n_cells d / 100) in
+  let sess = Eco.Session.create d prev in
+  let rng = Prng.create 41 in
+  let text (r : Eco.result_t) =
+    Tdf_io.Text.placement_to_string r.Eco.design r.Eco.placement
+  in
+  for i = 1 to 20 do
+    let design = Eco.Session.design sess in
+    let placement = Placement.copy (Eco.Session.placement sess) in
+    let delta = jitter_delta rng design placement k in
+    match (Eco.run design placement delta, Eco.Session.eco sess delta) with
+    | Ok cold, Ok warm ->
+      Alcotest.(check string)
+        (Printf.sprintf "delta %d: warm bytes = one-shot bytes" i)
+        (text cold) (text warm);
+      (* the first delta builds the session's grid *)
+      check
+        (Printf.sprintf "delta %d: warm grid reused" i)
+        (i > 1)
+        (Eco.Session.grid_reused_last sess)
+    | Error e, _ | _, Error e -> Alcotest.fail (Eco.error_to_string e)
+  done
+
 (* Random mixed delta over distinct cells; ids refer to the original
    design, targets stay inside the fixtures' 120x50 outline. *)
 let random_delta rng d =
@@ -353,6 +415,8 @@ let suite =
     Alcotest.test_case "eco rejects invalid delta" `Quick test_eco_invalid_delta;
     Alcotest.test_case "eco freezes outside the dirty region" `Slow
       test_eco_freezes_outside_region;
+    Alcotest.test_case "warm session equals one-shot eco" `Quick
+      test_warm_eco_equals_one_shot;
     prop_eco_legal;
     prop_eco_displacement_bounded;
     prop_eco_deterministic_across_jobs;

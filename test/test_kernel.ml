@@ -1,18 +1,22 @@
-(* Flow-pass kernel: the grid-owned D_c(u) cache, the selection cache
-   and the row-pruned relief, each checked against a from-scratch
-   reference.
+(* Flow-pass kernel: the grid-owned D_c(u) cache, the selection cache,
+   the search's cost-only selection and the pruned relief, each checked
+   against a from-scratch reference.
 
    - The cache must equal a recomputation after every kind of grid
      mutation, on every clone, and a search state reused across diverging
      clones must behave exactly like a fresh one (a cache keyed to the
      searcher instead of the grid fails that case).
    - Every mutation must restamp the bins whose pricing inputs it
-     changed, and a cached selection must equal [Select.select] from
-     scratch, with one cache serving two diverging clones.
-   - The row-pruned relief must pick the same (cell, bin) as the original
-     full scan kept in [Ref_relief], including on equal-cost ties, under
-     masks, with and without D2D edges, and on dies sitting exactly at
-     their utilization cap. *)
+     changed.  The cost-only selection the search runs, through one cache
+     serving two diverging clones, must give bit for bit the [inflow] and
+     [sel_cost] of [Select.select] from scratch, and the hoisted pricing
+     must equal [Select.unit_cost] per candidate.
+   - The heapsort copy must give [Array.sort]'s permutation, ties
+     included.
+   - The row- and column-pruned relief must pick the same (cell, bin) as
+     the plain full scan kept in [Ref_relief], including on equal-cost
+     ties, after random mutations, under masks, with and without D2D
+     edges, and on dies sitting exactly at their utilization cap. *)
 
 module G = Tdf_grid.Grid
 module L = Tdf_legalizer
@@ -232,14 +236,42 @@ let prop_stamps_track_inputs =
       done;
       !ok)
 
-(* The search's cached selection against [Select.select] from scratch:
-   one cache serves two diverging clones, mutated through every mutator,
-   on random (bin, edge, need) triples, so most slots are tried again
-   after their bins changed or did not.  The configuration flips now and
-   then between the default and one that clamps costs at 0 with no fixed
-   D2D cost: the clamp turns cheap candidates into ties, so it reorders
-   costs, and under it a D2D order also depends on the destination's
-   [used]. *)
+(* The search's cost-only selection, [Select.load] then
+   [Select.select_cost], against [Select.select] from scratch: [true]
+   exactly when [select] gives [Some], with bit-equal [inflow], [sel_cost]
+   and [freed]. *)
+let bits = Int64.bits_of_float
+
+let cost_only_matches cache cfg g ~(src : G.bin) ~edge ~need s want =
+  let got =
+    L.Select.load cache cfg g ~src ~need
+    && L.Select.select_cost cache cfg g ~src ~edge ~need s
+  in
+  match want with
+  | None -> not got
+  | Some (sel : L.Select.selection) ->
+    got
+    && bits s.L.Select.s_inflow = bits sel.L.Select.inflow
+    && bits s.L.Select.s_cost = bits sel.L.Select.sel_cost
+    && bits s.L.Select.s_freed = bits sel.L.Select.freed
+
+(* [Select.price] against [Select.unit_cost], candidate by candidate. *)
+let price_matches cfg g ~(src : G.bin) ~dst ~kind =
+  let cells = Array.of_list (List.map (fun (f : G.frag) -> f.G.cell) src.G.frags) in
+  let n = Array.length cells in
+  let uc = Array.make n Float.nan in
+  L.Select.price cfg g cells ~n ~dst ~kind uc;
+  Array.for_all2
+    (fun cell u -> bits u = bits (L.Select.unit_cost cfg g ~cell ~dst ~kind))
+    cells uc
+
+(* One cache serves two diverging clones, mutated through every mutator,
+   and every slot of one clone is tried with a random need after each
+   step, so most slots are tried again after their bins changed or did
+   not.  The configuration flips now and then between the default and one
+   that clamps costs at 0 with no fixed D2D cost: the clamp turns cheap
+   candidates into ties, so it reorders costs, and under it a D2D order
+   also depends on the destination's [used]. *)
 let prop_select_cache_matches =
   Props.test "cached selection equals a from-scratch selection" ~count:40
     Props.(pair (int_range 0 1_000_000) (int_range 8 30))
@@ -253,6 +285,7 @@ let prop_select_cache_matches =
       mutate rng g0 ~cell:0 5;
       let clones = [| G.clone g0; G.clone g0 |] in
       let cache = L.Select.create_cache g0 in
+      let s = L.Select.sums () in
       let clamped =
         { Config.default with Config.allow_negative_cost = false; d2d_base_cost = 0. }
       in
@@ -267,7 +300,6 @@ let prop_select_cache_matches =
           if Prng.int rng 8 = 0 then
             cfg := if !cfg == clamped then Config.default else clamped;
           let cfg = !cfg in
-          (* every slot of one clone, one random need each *)
           let g = Prng.choose rng clones in
           Array.iter
             (fun (src : G.bin) ->
@@ -277,12 +309,11 @@ let prop_select_cache_matches =
                     if Prng.int rng 10 = 0 then 0.
                     else Prng.float rng (1.2 *. src.G.used)
                   in
-                  let want =
-                    L.Select.select cfg g ~src ~dst:g.G.bins.(e.G.dst)
-                      ~kind:e.G.kind ~need
-                  in
-                  let got = L.Select.select_cached cache cfg g ~src ~edge ~need in
-                  if got <> want then ok := false;
+                  let dst = g.G.bins.(e.G.dst) and kind = e.G.kind in
+                  let want = L.Select.select cfg g ~src ~dst ~kind ~need in
+                  if not (cost_only_matches cache cfg g ~src ~edge ~need s want)
+                  then ok := false;
+                  if not (price_matches cfg g ~src ~dst ~kind) then ok := false;
                   if want <> None && need > 0. then incr found)
                 g.G.edges.(src.G.id))
             g.G.bins
@@ -291,8 +322,8 @@ let prop_select_cache_matches =
       (* not vacuous: fewer sorts than priced selections means slots hit *)
       !ok && L.Select.priced cache < !found)
 
-(* A bin holding more candidates than a slot order can index is priced
-   from scratch on every call, and still selects what [select] does. *)
+(* A bin holding more candidates than a slot order can index is sorted
+   afresh on every call, and still selects what [select] does. *)
 let test_select_large_bin () =
   let dies =
     [|
@@ -309,6 +340,7 @@ let test_select_large_bin () =
   let src = g.G.bins.(0) in
   Alcotest.(check bool) "over 256 candidates" true (List.length src.G.frags > 256);
   let cache = L.Select.create_cache g in
+  let s = L.Select.sums () in
   let cfg = Config.default in
   Array.iteri
     (fun edge (e : G.edge) ->
@@ -318,12 +350,33 @@ let test_select_large_bin () =
             L.Select.select cfg g ~src ~dst:g.G.bins.(e.G.dst) ~kind:e.G.kind ~need
           in
           let before = L.Select.priced cache in
-          let got = L.Select.select_cached cache cfg g ~src ~edge ~need in
-          Alcotest.(check bool) "same selection" true (got = want);
-          Alcotest.(check int) "priced from scratch" (before + 1)
-            (L.Select.priced cache))
+          Alcotest.(check bool) "same selection" true
+            (cost_only_matches cache cfg g ~src ~edge ~need s want);
+          Alcotest.(check int) "sorted afresh" (before + 1) (L.Select.priced cache))
         [ 5.; 40.; 150. ])
     g.G.edges.(src.G.id)
+
+(* [Select.sort_by_cost] against [Array.sort] on the identity: the same
+   permutation, so the same order among equal costs.  Costs come mostly
+   from a few values, signed zeros included, so most arrays are full of
+   ties; the rest are random and half of them negative. *)
+let prop_sort_matches_stdlib =
+  let cost =
+    Props.make ~print:string_of_float (fun rng ->
+        match Prng.int rng 4 with
+        | 0 -> Prng.float rng 10. -. 5.
+        | _ -> Prng.choose rng [| 0.; -0.; 1.; -1.; 2.5; -7.; 1e-300; Float.nan |])
+  in
+  Props.test "heapsort copy gives Array.sort's permutation" ~count:300
+    (Props.array ~max_len:256 cost)
+    (fun uc ->
+      let n = Array.length uc in
+      let want = Array.init n Fun.id in
+      Array.sort (fun i j -> Float.compare uc.(i) uc.(j)) want;
+      (* room beyond [n], as in the search's scratch *)
+      let got = Array.make (n + 3) (-1) in
+      L.Select.sort_by_cost uc got n;
+      Array.sub got 0 n = want && Array.for_all (( = ) (-1)) (Array.sub got n 3))
 
 (* A design built for ties: coarse global positions (x on a 10-grid, y on
    a 5-grid), three widths, and a top die whose rows differ from the
@@ -398,6 +451,12 @@ let prop_relief_matches_reference =
       in
       let cfg = if Prng.bool rng then Config.default else Config.no_d2d in
       let a = grid_of design ~bin_width in
+      (* a random assignment history: moves, removals and re-placements *)
+      for _ = 1 to Prng.int rng 12 do
+        mutate rng a
+          ~cell:(Prng.int rng (Design.n_cells design))
+          (Prng.choose rng [| 0; 1; 2; 3; 5 |])
+      done;
       let b = G.clone a in
       let mask =
         if Prng.bool rng then None
@@ -470,6 +529,7 @@ let suite =
     prop_select_cache_matches;
     Alcotest.test_case "selection out of an oversized bin" `Quick
       test_select_large_bin;
+    prop_sort_matches_stdlib;
     prop_relief_matches_reference;
     Alcotest.test_case "relief at the utilization boundary" `Quick
       test_relief_util_boundary;
