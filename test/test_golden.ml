@@ -11,7 +11,12 @@
    in the same commit and says why.
 
    Lines of the file that this suite does not compute (the scale-1.0
-   `cli` digests) are checked by CI against the real command line. *)
+   `cli` digests) are checked by CI against the real command line.
+
+   A second file, [golden_io.txt], pins the bytes of every writer in the
+   same way: the native design and placement text, the contest dialect,
+   and the canonical LEF and per-die DEF exports of two generated cases.
+   A change to how files are rendered must leave those digests alone. *)
 
 module Spec = Tdf_benchgen.Spec
 module Gen = Tdf_benchgen.Gen
@@ -26,6 +31,8 @@ module Prng = Tdf_util.Prng
 module Crc32 = Tdf_util.Crc32
 
 let golden_file = "golden_placements.txt"
+
+let golden_io_file = "golden_io.txt"
 
 let cases = [ (Spec.Iccad2022, "case2"); (Spec.Iccad2023, "case2") ]
 
@@ -122,8 +129,8 @@ let computed () =
   in
   runs @ eco_and_terminals_digests ()
 
-let read_golden () =
-  In_channel.with_open_text golden_file In_channel.input_all
+let read_golden file =
+  In_channel.with_open_text file In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          let line = String.trim line in
@@ -134,18 +141,17 @@ let read_golden () =
              Some
                ( String.trim (String.sub line 0 i),
                  String.sub line (i + 1) (String.length line - i - 1) )
-           | None -> Alcotest.failf "%s: malformed line %S" golden_file line)
+           | None -> Alcotest.failf "%s: malformed line %S" file line)
 
-let test_golden_digests () =
-  let golden = read_golden () in
-  let got = computed () in
+let check_digests file got =
+  let golden = read_golden file in
   let wrong =
     List.filter (fun (k, d) -> List.assoc_opt k golden <> Some d) got
   in
   if wrong <> [] then
     Alcotest.failf
-      "%d placement digest(s) differ from %s:\n%s\n\nall computed digests:\n%s"
-      (List.length wrong) golden_file
+      "%d digest(s) differ from %s:\n%s\n\nall computed digests:\n%s"
+      (List.length wrong) file
       (String.concat "\n"
          (List.map
             (fun (k, d) ->
@@ -155,8 +161,37 @@ let test_golden_digests () =
             wrong))
       (String.concat "\n" (List.map (fun (k, d) -> k ^ " " ^ d) got))
 
+let test_golden_digests () = check_digests golden_file (computed ())
+
+(* Writer bytes: CRC-32 of each [to_string] on a generated design and its
+   unlegalized placement, so the digests depend on the writers alone. *)
+let io_cases = [ ((Spec.Iccad2023, "case2"), 0.1); ((Spec.Iccad2022, "case3"), 0.25) ]
+
+let io_digests () =
+  let crc s = Crc32.to_hex (Crc32.string s) in
+  List.concat_map
+    (fun (case, scale) ->
+      let design = Gen.generate ~scale (Spec.find (fst case) (snd case)) in
+      let p = Placement.initial design in
+      let lef, defs = Tdf_def_lef.Def.of_design ~placement:p design in
+      let terminal = { Tdf_io.Contest.t_size = 2; t_spacing = 3 } in
+      [
+        (key case scale "text-design", crc (Tdf_io.Text.design_to_string design));
+        (key case scale "text-placement", crc (Tdf_io.Text.placement_to_string design p));
+        (key case scale "contest", crc (Tdf_io.Contest.to_string ~terminal design));
+        (key case scale "lef", crc (Tdf_def_lef.Lef.to_string lef));
+      ]
+      @ List.mapi
+          (fun i d ->
+            (key case scale (Printf.sprintf "def-d%d" i), crc (Tdf_def_lef.Def.to_string d)))
+          defs)
+    io_cases
+
+let test_io_digests () = check_digests golden_io_file (io_digests ())
+
 let suite =
   [
     Alcotest.test_case "placement digests match golden_placements.txt" `Quick
       test_golden_digests;
+    Alcotest.test_case "writer digests match golden_io.txt" `Quick test_io_digests;
   ]
