@@ -40,17 +40,17 @@ val read : string -> (Tdf_netlist.Design.t * terminal_spec option, string) resul
 (** Parse contest text into a design (bottom die = index 0, top = 1).
     Library-cell heights must match their die's row height. *)
 
-val write :
-  ?terminal:terminal_spec -> Format.formatter -> Tdf_netlist.Design.t -> unit
-(** Emit a two-die design in the dialect (including [Place] records and
-    [FixedInst] for macros).  Requires exactly two dies. *)
-
 val to_string : ?terminal:terminal_spec -> Tdf_netlist.Design.t -> string
+(** Render a two-die design in the dialect (including [Place] records and
+    [FixedInst] for macros).  Raises [Invalid_argument] unless the design
+    has exactly two dies. *)
 
 val load : string -> (Tdf_netlist.Design.t * terminal_spec option, string) result
 (** Read from a file path. *)
 
 val save : ?terminal:terminal_spec -> string -> Tdf_netlist.Design.t -> unit
+(** {!to_string} written to a file path with one [output]; a design
+    {!to_string} refuses leaves no file behind. *)
 
 val read_exn : string -> Tdf_netlist.Design.t * terminal_spec option
 (** Raising variant of {!read}: [Failure] with the parser's

@@ -107,17 +107,16 @@ type t = {
 val read : string -> (t, string) result
 (** Parse one DEF file; [Error "line %d: ..."] on malformed input. *)
 
-val write : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Canonical form (deterministic: equal values render byte-identically):
     header comments, DESIGN/UNITS/DIEAREA, rows, COMPONENTS, the
     [tdflow.gp] block, then PINS / NETS / BLOCKAGES — each section
     emitted only when non-empty. *)
 
-val to_string : t -> string
-
 val load : string -> (t, string) result
 
 val save : string -> t -> unit
+(** {!to_string} written to a file path with one [output]. *)
 
 val read_exn : string -> t
 

@@ -55,17 +55,16 @@ type t = { sites : site list; macros : macro list }
 val read : string -> (t, string) result
 (** Parse LEF-lite text; [Error "line %d: ..."] on malformed input. *)
 
-val write : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Canonical form: sites then macros, each as
     [SITE/MACRO name / CLASS / SIZE / END name], a [tdflow.widths]
     comment inside every macro that carries one.  Deterministic: equal
     values render byte-identically. *)
 
-val to_string : t -> string
-
 val load : string -> (t, string) result
 
 val save : string -> t -> unit
+(** {!to_string} written to a file path with one [output]. *)
 
 val find_site : t -> string -> site option
 

@@ -2,14 +2,16 @@
 
     DEF and LEF are token-oriented, not line-oriented: statements end at
     [;], coordinates are wrapped in [( ... )], and both may spill across
-    lines.  This lexer splits the input into whitespace-separated words
-    (treating [(], [)] and [;] as self-delimiting tokens even when glued
-    to a neighbor), tags every token with its 1-based source line for the
-    ["line %d: ..."] diagnostics the rest of [lib/io] uses, and separates
-    out the [# tdflow.*] extension comments that carry the data plain
-    DEF/LEF cannot express (per-die widths, global-placement seeds, die
-    pairing).  Ordinary [#] comments are dropped, so a real tool's DEF
-    passes through untouched. *)
+    lines.  The cursor reads the input in one pass, one token of
+    lookahead at a time.  Blanks are space, tab, carriage return and
+    newline; [(], [)] and [;] are tokens of their own even when glued to
+    a neighbor.  Every token carries its 1-based source line for the
+    ["line %d: ..."] diagnostics the rest of [lib/io] uses.  [#] starts a
+    comment that runs to the end of its line; the cursor keeps the
+    [# tdflow.*] extension comments that carry the data plain DEF/LEF
+    cannot express (per-die widths, global-placement seeds, die pairing)
+    and drops every other comment, so a real tool's DEF passes through
+    untouched. *)
 
 exception Parse of string
 (** Internal to {!Lef.read} / {!Def.read}; both catch it and return
@@ -20,15 +22,11 @@ val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 type tok = { line : int; word : string }
 
-val lex : string -> tok list * (int * string list) list
-(** [lex text] is [(tokens, extensions)]: the token stream, plus one
-    [(line, words)] entry per comment whose first word starts with
-    ["tdflow."] (the ["#"] itself stripped, words split like tokens). *)
-
-(** A mutable read position over the token stream. *)
+(** A read position in the input, with its lookahead token and the
+    extension comments passed so far. *)
 type cursor
 
-val cursor : tok list -> cursor
+val cursor : string -> cursor
 
 val peek : cursor -> tok option
 (** [None] at end of input. *)
@@ -38,11 +36,18 @@ val next : cursor -> string -> tok
     when exhausted. *)
 
 val expect : cursor -> string -> unit
-(** Consume one token and require it to equal the given word. *)
+(** Consume one token and require it to equal the given word; at end of
+    input fails with ["unexpected end of file (in \"<word>\")"]. *)
 
 val skip_statement : cursor -> unit
 (** Consume tokens up to and including the next [;] (for statements the
     subset recognizes but does not interpret). *)
+
+val extensions : cursor -> (int * string list) list
+(** Read the rest of the input and return every extension comment of the
+    whole input in order: one [(line, words)] entry per comment whose
+    first word starts with ["tdflow."], the ["#"] itself stripped and the
+    words split like tokens. *)
 
 val int_of : line:int -> string -> int
 val float_of : line:int -> string -> float

@@ -1,6 +1,5 @@
-(* ECO delta text format; see the interface for the grammar.  The
-   tokenizer mirrors [Text]'s: '#' comments, blank lines ignored, fields
-   split on spaces/tabs. *)
+(* ECO delta text format; see the interface for the grammar.  Records
+   come from [Lines], the tokenizer [Text] and [Contest] share. *)
 
 type op =
   | Move of { cell : int; x : int; y : int; die : int }
@@ -11,30 +10,7 @@ type op =
 
 type t = op list
 
-exception Parse of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Parse s)) fmt
-
-let tokenize text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i line -> (i + 1, line))
-  |> List.filter_map (fun (i, line) ->
-         let line =
-           match String.index_opt line '#' with
-           | Some j -> String.sub line 0 j
-           | None -> line
-         in
-         let words =
-           String.split_on_char ' ' line
-           |> List.concat_map (String.split_on_char '\t')
-           |> List.filter (fun w -> w <> "")
-         in
-         if words = [] then None else Some (i, words))
-
-let int_of ~line s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail "line %d: expected integer, got %S" line s
+open Lines
 
 let widths_of ~line ws =
   let a = Array.of_list (List.map (int_of ~line) ws) in
@@ -43,28 +19,30 @@ let widths_of ~line ws =
 
 let read text =
   try
-    Ok
-      (List.map
-         (fun (line, words) ->
-           match words with
-           | [ "move"; c; x; y; d ] ->
-             Move
-               { cell = int_of ~line c; x = int_of ~line x; y = int_of ~line y;
-                 die = int_of ~line d }
-           | "resize" :: c :: ws when ws <> [] ->
-             Resize { cell = int_of ~line c; widths = widths_of ~line ws }
-           | "add" :: name :: x :: y :: d :: ws when ws <> [] ->
-             Add
-               { name; x = int_of ~line x; y = int_of ~line y;
-                 die = int_of ~line d; widths = widths_of ~line ws }
-           | [ "remove"; c ] -> Remove { cell = int_of ~line c }
-           | [ "macro"; name; d; x; y; w; h ] ->
-             Add_macro
-               { name; die = int_of ~line d; x = int_of ~line x;
-                 y = int_of ~line y; w = int_of ~line w; h = int_of ~line h }
-           | kw :: _ -> fail "line %d: unrecognized delta op %S" line kw
-           | [] -> assert false)
-         (tokenize text))
+    let ops = ref [] in
+    Lines.iter text (fun line words ->
+        let op =
+          match words with
+          | [ "move"; c; x; y; d ] ->
+            Move
+              { cell = int_of ~line c; x = int_of ~line x; y = int_of ~line y;
+                die = int_of ~line d }
+          | "resize" :: c :: ws when ws <> [] ->
+            Resize { cell = int_of ~line c; widths = widths_of ~line ws }
+          | "add" :: name :: x :: y :: d :: ws when ws <> [] ->
+            Add
+              { name; x = int_of ~line x; y = int_of ~line y;
+                die = int_of ~line d; widths = widths_of ~line ws }
+          | [ "remove"; c ] -> Remove { cell = int_of ~line c }
+          | [ "macro"; name; d; x; y; w; h ] ->
+            Add_macro
+              { name; die = int_of ~line d; x = int_of ~line x;
+                y = int_of ~line y; w = int_of ~line w; h = int_of ~line h }
+          | kw :: _ -> fail "line %d: unrecognized delta op %S" line kw
+          | [] -> assert false
+        in
+        ops := op :: !ops);
+    Ok (List.rev !ops)
   with Parse msg -> Error msg
 
 let to_string ops =

@@ -3,17 +3,14 @@
     A simple line-oriented format (one record per line, `#` comments) so
     generated benchmarks and legalization results can be saved, diffed and
     reloaded; see the format grammar in the implementation header.  Round-
-    tripping is exact. *)
-
-val write_design : Format.formatter -> Tdf_netlist.Design.t -> unit
+    tripping is exact.  Records are read one line at a time by {!Lines};
+    writers render the whole file into one buffer, and [save_*] write it
+    with one [output]. *)
 
 val design_to_string : Tdf_netlist.Design.t -> string
 
 val read_design : string -> (Tdf_netlist.Design.t, string) result
 (** Parse a design from the textual form; [Error msg] on malformed input. *)
-
-val write_placement :
-  Format.formatter -> Tdf_netlist.Design.t -> Tdf_netlist.Placement.t -> unit
 
 val placement_to_string :
   Tdf_netlist.Design.t -> Tdf_netlist.Placement.t -> string

@@ -16,6 +16,7 @@ let () =
       ("benchgen", Test_benchgen.suite);
       ("io", Test_io.suite);
       ("def_lef", Test_def_lef.suite);
+      ("tokenize", Test_tokenize.suite);
       ("bonding", Test_bonding.suite);
       ("contest", Test_contest.suite);
       ("refine", Test_refine.suite);
