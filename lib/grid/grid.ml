@@ -313,16 +313,20 @@ let find_slot t ~die ~x ~y ~w =
   if nrows = 0 then None
   else begin
     let r0 = Die.nearest_row d y in
-    let best = ref None in
+    (* The best candidate so far; [best_sid] is -1 until there is one, and
+       only a strictly smaller cost replaces it. *)
+    let best_cost = ref 0 and best_sid = ref (-1) and best_x = ref 0 in
     let consider sid =
       let s = t.segments.(sid) in
       if s.s_hi - s.s_lo >= w then begin
-        let cx = max s.s_lo (min (s.s_hi - w) x) in
+        let cx = Int.max s.s_lo (Int.min (s.s_hi - w) x) in
         let cy = Die.row_y d s.s_row in
         let cost = abs (cx - x) + abs (cy - y) in
-        match !best with
-        | Some (bcost, _, _) when bcost <= cost -> ()
-        | _ -> best := Some (cost, sid, cx)
+        if !best_sid < 0 || cost < !best_cost then begin
+          best_cost := cost;
+          best_sid := sid;
+          best_x := cx
+        end
       end
     in
     let row_dist r = abs (Die.row_y d r - y) in
@@ -334,12 +338,11 @@ let find_slot t ~die ~x ~y ~w =
       if (not lo_ok) && not hi_ok then ()
       else begin
         let min_d =
-          min
+          Int.min
             (if lo_ok then row_dist lo else max_int)
             (if hi_ok then row_dist hi else max_int)
         in
-        let prune = match !best with Some (c, _, _) -> min_d > c | None -> false in
-        if not prune then begin
+        if not (!best_sid >= 0 && min_d > !best_cost) then begin
           if lo_ok then Array.iter consider t.row_segments.(die).(lo);
           if hi_ok then Array.iter consider t.row_segments.(die).(hi);
           expand (k + 1)
@@ -347,7 +350,7 @@ let find_slot t ~die ~x ~y ~w =
       end
     in
     expand 0;
-    match !best with Some (_, sid, cx) -> Some (sid, cx) | None -> None
+    if !best_sid >= 0 then Some (!best_sid, !best_x) else None
   end
 
 (* ------------------------------------------------------------------ *)
@@ -377,6 +380,18 @@ let add_frag t b ~cell ~rho ~w =
     | None -> (b.id, rho) :: t.cell_frags.(cell));
   touch t b ~cell
 
+(* [add_frag] where both of its searches would miss ([b] holds no
+   fragment of the cell, and the cell's list has no entry for [b]): the
+   same updates in the same order, without the searches. *)
+let add_new_frag t b ~cell ~rho ~w =
+  let dw = rho *. float_of_int w in
+  b.frags <- { cell; rho } :: b.frags;
+  b.used <- b.used +. dw;
+  t.die_used.(b.die) <- t.die_used.(b.die) +. dw;
+  t.cell_disp.(cell) <- stale;
+  t.cell_frags.(cell) <- (b.id, rho) :: t.cell_frags.(cell);
+  touch t b ~cell
+
 let sub_frag t b ~cell ~rho ~w =
   touch t b ~cell;
   let dw = rho *. float_of_int w in
@@ -397,28 +412,45 @@ let sub_frag t b ~cell ~rho ~w =
     (if remaining <= 1e-9 then List.remove_assoc b.id t.cell_frags.(cell)
      else (b.id, remaining) :: List.remove_assoc b.id t.cell_frags.(cell))
 
+(* A segment's bins are x-sorted and abut (see [build]), so the bins
+   [x, x + w) overlaps are a run found by binary search: the first bin
+   whose right edge is past [x], then on while bins start before
+   [x + w].  These are the bins a walk over the whole segment would give
+   a positive overlap, in the same order.  A cell with no fragments at
+   all cannot be in any bin of the run yet, so it takes [add_new_frag]. *)
 let distribute_in_segment t ~cell ~sid ~x =
   let s = t.segments.(sid) in
   let w = cell_width t ~cell ~die:s.s_die in
-  let x = max s.s_lo (min (max s.s_lo (s.s_hi - w)) x) in
-  let span = Interval.make x (x + w) in
+  let x = Int.max s.s_lo (Int.min (Int.max s.s_lo (s.s_hi - w)) x) in
+  let x_end = x + w in
+  let ids = s.s_bins and bins = t.bins in
+  let nb = Array.length ids in
+  let lo = ref 0 and hi = ref nb in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let b = bins.(ids.(mid)) in
+    if b.x + b.width <= x then lo := mid + 1 else hi := mid
+  done;
+  let add = if t.cell_frags.(cell) = [] then add_new_frag else add_frag in
   let total = ref 0. in
-  Array.iter
-    (fun bid ->
-      let b = t.bins.(bid) in
-      let ov = Interval.overlap_length (Interval.make b.x (b.x + b.width)) span in
-      if ov > 0 then begin
-        let rho = float_of_int ov /. float_of_int w in
-        let rho = Float.min rho (1. -. !total) in
-        if rho > 0. then begin
-          add_frag t b ~cell ~rho ~w;
-          total := !total +. rho
-        end
-      end)
-    s.s_bins;
-  (* Any residue (cell wider than the segment) lands in the last bin. *)
+  let i = ref !lo in
+  while !i < nb && bins.(ids.(!i)).x < x_end do
+    let b = bins.(ids.(!i)) in
+    let ov = Int.min (b.x + b.width) x_end - Int.max b.x x in
+    if ov > 0 then begin
+      let rho = float_of_int ov /. float_of_int w in
+      let rho = Float.min rho (1. -. !total) in
+      if rho > 0. then begin
+        add t b ~cell ~rho ~w;
+        total := !total +. rho
+      end
+    end;
+    incr i
+  done;
+  (* Any residue (cell wider than the segment) lands in the last bin,
+     which may already hold part of the cell. *)
   if !total < 1. -. 1e-9 then begin
-    let last = t.bins.(s.s_bins.(Array.length s.s_bins - 1)) in
+    let last = bins.(ids.(nb - 1)) in
     add_frag t last ~cell ~rho:(1. -. !total) ~w
   end;
   t.cell_seg.(cell) <- sid
@@ -649,6 +681,24 @@ let check_invariants t =
   let eps = 1e-6 in
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   let result = ref (Ok ()) in
+  (* [distribute_in_segment]'s binary search needs each segment's bins to
+     tile it left to right. *)
+  Array.iter
+    (fun s ->
+      let edge = ref s.s_lo in
+      Array.iter
+        (fun bid ->
+          let b = t.bins.(bid) in
+          if !result = Ok () && (b.seg <> s.sid || b.x <> !edge || b.width <= 0)
+          then
+            result :=
+              fail "segment %d: bin %d at x=%d width %d does not abut at %d" s.sid
+                bid b.x b.width !edge;
+          edge := b.x + b.width)
+        s.s_bins;
+      if !result = Ok () && !edge <> s.s_hi then
+        result := fail "segment %d: bins end at %d, not at %d" s.sid !edge s.s_hi)
+    t.segments;
   let ncells = Design.n_cells t.design in
   for cell = 0 to ncells - 1 do
     if !result = Ok () then begin

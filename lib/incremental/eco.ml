@@ -174,7 +174,9 @@ let grid_for ~cache ~(p : Perturb.t) design bin_width =
 
 let run_cached ?(cfg = default_cfg) ~cache design prev delta =
   Tdf_telemetry.span "eco.run" @@ fun () ->
-  match Perturb.apply design prev delta with
+  match
+    Tdf_telemetry.span "eco.perturb" (fun () -> Perturb.apply design prev delta)
+  with
   | Error msg -> Error (Invalid_delta msg)
   | Ok p ->
     let design = p.Perturb.design and base = p.Perturb.base in
@@ -192,7 +194,9 @@ let run_cached ?(cfg = default_cfg) ~cache design prev delta =
     let rec attempt radius tries =
       if tries > cfg.max_widenings then fallback ()
       else begin
-        match Grid.reset_to grid targets with
+        match
+          Tdf_telemetry.span "eco.reset_to" (fun () -> Grid.reset_to grid targets)
+        with
         | Error pe -> Error (Unplaceable pe)
         | Ok () ->
           (* Seed from wherever the grid put the perturbed cells (the
@@ -220,7 +224,11 @@ let run_cached ?(cfg = default_cfg) ~cache design prev delta =
             (* The region already covers the whole grid and still failed:
                more widening cannot help. *)
             fallback ()
-          else if not (precheck ~ws ~flow_cfg:cfg.flow grid mask) then
+          else if
+            not
+              (Tdf_telemetry.span "eco.precheck" (fun () ->
+                   precheck ~ws ~flow_cfg:cfg.flow grid mask))
+          then
             widen "infeasible"
           else begin
             let budget =
@@ -241,7 +249,10 @@ let run_cached ?(cfg = default_cfg) ~cache design prev delta =
               let placement = Placement.copy base in
               let only = dirty_segment_mask grid mask in
               Flow3d.place_segments ~only grid placement;
-              if Legality.is_legal design placement then begin
+              if
+                Tdf_telemetry.span "eco.legality" (fun () ->
+                    Legality.is_legal design placement)
+              then begin
                 let dirty_segments =
                   Array.fold_left (fun a m -> if m then a + 1 else a) 0 only
                 in

@@ -1,9 +1,13 @@
 (** Applying an ECO delta to a (design, legal placement) pair.
 
-    The output is a fresh perturbed design plus the {e base} placement the
+    The output is a perturbed design plus the {e base} placement the
     incremental engine starts from: unperturbed cells keep their previous
     legal coordinates byte-for-byte, moved/added cells sit at their target
     positions (usually overlapping — that is the overflow {!Eco} resolves).
+    The perturbed design shares with the input every cell record that no
+    op names and that keeps its id, and, when no cell is removed and every
+    net is well formed (id equal to its index, at least one pin, pins in
+    range), the input's net array; neither design is ever mutated.
 
     Cell removal keeps ids dense: cells after a removed one shift down,
     and the [new_of_old] / [old_of_new] maps record the renumbering.  A

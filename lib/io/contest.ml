@@ -217,7 +217,7 @@ let read text =
 
 let render ?terminal (d : Design.t) =
   if Design.n_dies d <> 2 then
-    invalid_arg "Contest.write: the contest dialect describes two-die designs";
+    invalid_arg "Contest.to_string: the contest dialect describes two-die designs";
   let bottom = Design.die d 0 and top = Design.die d 1 in
   (* one libcell per distinct (w0, w1) pair, named C<w0>_<w1> *)
   let pairs = Hashtbl.create 64 in

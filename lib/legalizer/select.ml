@@ -170,8 +170,9 @@ let sort_by_cost uc order n =
 (* The pick scan: C(src, dst) from the [n] candidates in cost order
    ([order.(k)] for the k-th cheapest, unit costs in [uc]).  Writes what
    it took into [t] and the sums into [s], and tells whether the
-   selection exists.  Allocates nothing but the [util_probe] call. *)
-let scan ?util_probe grid cell held ~n ~uc ~order ~(src : Grid.bin)
+   selection exists.  [sm] is scratch with room for [n] floats.
+   Allocates nothing but the [util_probe] call. *)
+let scan ?util_probe grid cell held ~n ~uc ~order ~sm ~(src : Grid.bin)
     ~(dst : Grid.bin) ~kind ~need t s =
   let nd = grid.Grid.n_dies and widths = grid.Grid.widths in
   let freed = ref 0. and cost = ref 0. and k = ref 0 in
@@ -207,6 +208,15 @@ let scan ?util_probe grid cell held ~n ~uc ~order ~(src : Grid.bin)
       float_of_int
         (Design.die grid.Grid.design src.Grid.die).Tdf_netlist.Die.row_height
     in
+    (* sm.(k): the widest held width among candidates k.. in cost order.
+       A better fit must hold at least the remainder, so none exists
+       from k on when sm.(k) falls short of it. *)
+    let widest = ref neg_infinity in
+    for k' = n - 1 downto 0 do
+      let h = held.(order.(k')) in
+      if h > !widest then widest := h;
+      sm.(k') <- !widest
+    done;
     let swapped = ref false in
     while (not !swapped) && (not (!freed >= need -. 1e-9)) && !k < n do
       let i = order.(!k) in
@@ -215,14 +225,15 @@ let scan ?util_probe grid cell held ~n ~uc ~order ~(src : Grid.bin)
          extra cost, the narrowest one that alone covers the remainder
          (the first such in cost order) *)
       let fit = ref (-1) in
-      for k' = !k to n - 1 do
-        let j = order.(k') in
-        if
-          uc.(j) <= uc.(i) +. h_r
-          && held.(j) >= remaining -. 1e-9
-          && not (!fit >= 0 && held.(!fit) <= held.(j))
-        then fit := j
-      done;
+      if sm.(!k) >= remaining -. 1e-9 then
+        for k' = !k to n - 1 do
+          let j = order.(k') in
+          if
+            uc.(j) <= uc.(i) +. h_r
+            && held.(j) >= remaining -. 1e-9
+            && not (!fit >= 0 && held.(!fit) <= held.(j))
+          then fit := j
+        done;
       let j = !fit in
       if j >= 0 && (held.(j) < held.(i) || uc.(j) <= uc.(i)) then begin
         t.swap <- j;
@@ -297,10 +308,13 @@ let select ?util_probe cfg grid ~src ~dst ~kind ~need =
     if too_small total ~need then None
     else begin
       let uc = Array.make n 0. and order = Array.make n 0 in
+      let sm = Array.make n 0. in
       price cfg grid cell ~n ~dst ~kind uc;
       sort_by_cost uc order n;
       let t = { taken = 0; swap = -1 } and s = sums () in
-      if scan ?util_probe grid cell held ~n ~uc ~order ~src ~dst ~kind ~need t s
+      if
+        scan ?util_probe grid cell held ~n ~uc ~order ~sm ~src ~dst ~kind ~need t
+          s
       then
         Some
           {
@@ -342,6 +356,7 @@ type cache = {
   blocks : Bytes.t array;  (** bin id → its slot orders (see above) *)
   mutable uc : float array;  (** per-call unit costs, grown to fit *)
   mutable order : int array;  (** per-call order, grown to fit *)
+  mutable sm : float array;  (** per-call suffix maxima for [scan] *)
   taken : taken;  (** per-call scan outcome *)
   mutable cfg : Config.t option;  (** configuration the orders assume *)
   mutable priced : int;
@@ -358,6 +373,7 @@ let create_cache grid =
     blocks = Array.make nb Bytes.empty;
     uc = Array.make max_cached 0.;
     order = Array.make max_cached 0;
+    sm = Array.make max_cached 0.;
     taken = { taken = 0; swap = -1 };
     cfg = None;
     priced = 0;
@@ -412,7 +428,8 @@ let select_cost ?util_probe c cfg grid ~(src : Grid.bin) ~edge ~need s =
     let cell = c.tb_cell.(b) and held = c.tb_held.(b) and n = c.tb_n.(b) in
     if Array.length c.uc < n then begin
       c.uc <- Array.make n 0.;
-      c.order <- Array.make n 0
+      c.order <- Array.make n 0;
+      c.sm <- Array.make n 0.
     end;
     let uc = c.uc and order = c.order in
     price cfg grid cell ~n ~dst ~kind uc;
@@ -452,6 +469,6 @@ let select_cost ?util_probe c cfg grid ~(src : Grid.bin) ~edge ~need s =
         Bytes.set_int64_ne blk (stamp_at ~ne edge) (Int64.of_int dst_stamp)
       end
     end;
-    scan ?util_probe grid cell held ~n ~uc ~order ~src ~dst ~kind ~need c.taken
-      s
+    scan ?util_probe grid cell held ~n ~uc ~order ~sm:c.sm ~src ~dst ~kind ~need
+      c.taken s
   end

@@ -156,7 +156,9 @@ let test_write_rejects_other_stacks () =
   in
   let d = Design.make ~name:"one" ~dies ~cells:[||] () in
   match C.to_string d with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message names the function"
+      "Contest.to_string: the contest dialect describes two-die designs" msg
   | _ -> Alcotest.fail "expected Invalid_argument for non-2-die design"
 
 let suite =

@@ -274,6 +274,147 @@ let prop_reset_to_roundtrip =
                   = List.map (fun (f : G.frag) -> (f.G.cell, f.G.rho)) b.G.frags)
              fresh.G.bins g.G.bins)
 
+(* ---- bin-search assignment against the full-segment walk ---------- *)
+
+module Prng = Tdf_util.Prng
+module Rect = Tdf_geometry.Rect
+module Die = Tdf_netlist.Die
+module Cell = Tdf_netlist.Cell
+module Blockage = Tdf_netlist.Blockage
+
+(* Two or three dies of one width, each with its own row height and row
+   count, up to two macros per die in disjoint x bands (so some rows are
+   split into short segments), per-die cell widths, and now and then a
+   cell wider than the die, which no segment holds whole. *)
+let diff_design rng =
+  let nd = Prng.int_in rng 2 3 in
+  let w = Prng.int_in rng 30 120 in
+  let dies =
+    Array.init nd (fun index ->
+        let row_height = Prng.choose rng [| 8; 10 |] in
+        let h = row_height * Prng.int_in rng 2 5 in
+        Die.make ~index ~outline:(Rect.make ~x:0 ~y:0 ~w ~h) ~row_height ())
+  in
+  let macros = ref [] in
+  Array.iteri
+    (fun d (die : Die.t) ->
+      let h = die.Die.outline.Rect.h and band = w / 2 in
+      for i = 0 to Prng.int rng 3 - 1 do
+        let mw = Prng.int_in rng 1 (band / 2) and mh = Prng.int_in rng 1 h in
+        let x = (i * band) + Prng.int rng (band - mw) in
+        let y = Prng.int rng (h - mh + 1) in
+        macros :=
+          Blockage.make ~id:(List.length !macros) ~die:d
+            ~rect:(Rect.make ~x ~y ~w:mw ~h:mh) ()
+          :: !macros
+      done)
+    dies;
+  let cells =
+    Array.init (Prng.int_in rng 5 40) (fun id ->
+        let widths =
+          Array.init nd (fun _ ->
+              if Prng.int rng 12 = 0 then Prng.int_in rng 1 (w + 10)
+              else Prng.int_in rng 1 8)
+        in
+        Cell.make ~id ~widths ~gp_x:(Prng.int rng w) ~gp_y:(Prng.int rng 50)
+          ~gp_z:(Prng.float rng 1.0) ())
+  in
+  Design.make ~name:"diff" ~dies ~cells ~macros:(Array.of_list (List.rev !macros)) ()
+
+(* A target: anywhere around the die (outside it too), or with x on a
+   bin's left or right edge, or with the cell's right end on one. *)
+let diff_target rng (g : G.t) ~cell =
+  let die = Prng.int rng g.G.n_dies in
+  let y = Prng.int_in rng (-15) 55 in
+  let x =
+    match Prng.int rng 3 with
+    | 0 -> Prng.int_in rng (-20) 140
+    | _ ->
+      let b = g.G.bins.(Prng.int rng (G.n_bins g)) in
+      let edge = if Prng.bool rng then b.G.x else b.G.x + b.G.width in
+      if Prng.bool rng then edge else edge - G.cell_width g ~cell ~die
+  in
+  (x, y, die)
+
+let bits = Int64.bits_of_float
+
+(* Stamps relabelled by first occurrence: two grids agree when the same
+   bins share a stamp. *)
+let stamp_classes (g : G.t) =
+  let first = Hashtbl.create 64 in
+  Array.mapi
+    (fun i s ->
+      match Hashtbl.find_opt first s with
+      | Some j -> j
+      | None ->
+        Hashtbl.add first s i;
+        i)
+    g.G.stamp
+
+(* Fragments in order with the bits of every rho, [used], [die_used],
+   [cell_frags], [cell_seg], the D_c(u) cache, and the stamp classes. *)
+let same_assignment (g : G.t) (r : G.t) =
+  let frag_bits (f : G.frag) = (f.G.cell, bits f.G.rho) in
+  let pair_bits (bid, rho) = (bid, bits rho) in
+  Array.for_all2
+    (fun (a : G.bin) (b : G.bin) ->
+      List.map frag_bits a.G.frags = List.map frag_bits b.G.frags
+      && bits a.G.used = bits b.G.used)
+    g.G.bins r.G.bins
+  && Array.map bits g.G.die_used = Array.map bits r.G.die_used
+  && Array.map (List.map pair_bits) g.G.cell_frags
+     = Array.map (List.map pair_bits) r.G.cell_frags
+  && g.G.cell_seg = r.G.cell_seg
+  && g.G.cell_disp = r.G.cell_disp
+  && stamp_classes g = stamp_classes r
+
+(* The same operation on a grid and on its reference twin: the results,
+   the assignments and the set of restamped bins must agree. *)
+let same_step (g : G.t) (r : G.t) f_g f_r =
+  let sg = Array.copy g.G.stamp and sr = Array.copy r.G.stamp in
+  let res_g = f_g g and res_r = f_r r in
+  res_g = res_r
+  && same_assignment g r
+  && Array.map2 ( <> ) sg g.G.stamp = Array.map2 ( <> ) sr r.G.stamp
+  && G.check_invariants g = Ok ()
+
+let prop_assignment_matches_reference =
+  Props.test "assignment equals the full-segment walk" ~count:150
+    Props.(pair (int_range 0 1_000_000) (int_range 3 30))
+    (fun (seed, bin_width) ->
+      let rng = Prng.create seed in
+      let d = diff_design rng in
+      let n = Design.n_cells d in
+      let g = G.build d ~bin_width and r = G.build d ~bin_width in
+      let init = Placement.initial d in
+      let targets () = Array.init n (fun cell -> diff_target rng g ~cell) in
+      let ok =
+        ref
+          (same_step g r
+             (fun g -> G.assign_initial g init)
+             (fun r -> Ref_grid.assign_initial r init))
+      in
+      for _ = 1 to 3 do
+        if !ok then begin
+          let tg = targets () in
+          ok :=
+            same_step g r (fun g -> G.reset_to g tg) (fun r -> Ref_grid.reset_to r tg);
+          (* re-place a few cells, each removed first *)
+          for _ = 1 to 10 do
+            if !ok then begin
+              let cell = Prng.int rng n in
+              let x, y, die = diff_target rng g ~cell in
+              let place place t =
+                G.remove_cell t ~cell;
+                place t ~cell ~die ~x ~y
+              in
+              ok := same_step g r (place G.place_cell) (place Ref_grid.place_cell)
+            end
+          done
+        end
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "structure without macros" `Quick test_structure_no_macros;
@@ -292,4 +433,5 @@ let suite =
     Alcotest.test_case "find_slot too wide" `Quick test_find_slot_too_wide;
     QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;
     prop_reset_to_roundtrip;
+    prop_assignment_matches_reference;
   ]

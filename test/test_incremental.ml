@@ -138,6 +138,99 @@ let test_perturb_rejects () =
        ]);
   check "widths arity" true (bad [ Delta.Resize { cell = 1; widths = [| 4 |] } ])
 
+(* ---- sharing apply against the rebuilding reference ---------------- *)
+
+module Net = Tdf_netlist.Net
+
+type op_kind = Move | Resize | Remove | Add | Macro
+
+(* A random design, with its nets as generated or with one net the
+   sharing shortcut must not take: an id other than its index, a pin out
+   of range, or no pin at all (a record literal, which [Net.make]
+   refuses).  A function of the seed, so it can be made again to check
+   that [apply] left its input alone. *)
+let perturb_design seed =
+  let d = Fixtures.random ~n:(5 + (seed mod 36)) ~with_macros:(seed mod 2 = 0) seed in
+  let nets = Array.copy d.Design.nets in
+  let n = Design.n_cells d in
+  (match (seed / 2) mod 6 with
+  | 3 -> nets.(0) <- { (nets.(0)) with Net.id = 7 }
+  | 4 -> nets.(0) <- { (nets.(0)) with Net.pins = [| 0; n + 2 |] }
+  | 5 -> nets.(0) <- { (nets.(0)) with Net.pins = [||] }
+  | _ -> ());
+  Design.make ~name:d.Design.name ~dies:d.Design.dies ~cells:d.Design.cells
+    ~macros:d.Design.macros ~nets ()
+
+(* Up to 8 ops of the given kinds on distinct cells, except that one op
+   in 20 names a random id (out of range, or a cell already named). *)
+let perturb_ops rng d kinds =
+  let n = Design.n_cells d in
+  let order = Array.init n Fun.id in
+  Prng.shuffle rng order;
+  List.init (Prng.int_in rng 1 (Int.min 8 n)) (fun i ->
+      let cell = if Prng.int rng 20 = 0 then Prng.int_in rng (-1) n else order.(i) in
+      let widths () = [| Prng.int_in rng 1 8; Prng.int_in rng 1 8 |] in
+      let x = Prng.int rng 120 and y = Prng.int rng 50 and die = Prng.int rng 2 in
+      match Prng.choose rng kinds with
+      | Move -> Delta.Move { cell; x; y; die }
+      | Resize -> Delta.Resize { cell; widths = widths () }
+      | Remove -> Delta.Remove { cell }
+      | Add ->
+        Delta.Add { name = Printf.sprintf "eco%d" i; x; y; die; widths = widths () }
+      | Macro ->
+        Delta.Add_macro
+          { name = Printf.sprintf "m%d" i; die; x; y; w = Prng.int_in rng 1 15;
+            h = Prng.int_in rng 1 15 })
+
+(* [Perturb.apply] must give a result structurally equal to
+   [Ref_perturb.apply] (or the same error), leave its input design
+   structurally unchanged, and, when no cell is removed, share the nets
+   of a design whose nets are all well formed and every cell no op
+   names. *)
+let prop_perturb_matches_reference =
+  let kinds =
+    [|
+      [| Move; Resize; Remove; Add; Macro |];
+      [| Move |];
+      [| Move; Resize |];
+      [| Add |];
+    |]
+  in
+  Props.test "sharing apply equals the rebuilding apply" ~count:300
+    (Props.int_range 0 1_000_000) (fun seed ->
+      let d = perturb_design seed in
+      let rng = Prng.create (seed + 3) in
+      let n = Design.n_cells d in
+      let prev =
+        {
+          Placement.x = Array.init n (fun _ -> Prng.int rng 120);
+          y = Array.init n (fun _ -> Prng.int rng 50);
+          die = Array.init n (fun _ -> Prng.int rng 2);
+        }
+      in
+      let delta = perturb_ops rng d kinds.(seed mod Array.length kinds) in
+      let got = Perturb.apply d prev delta and want = Ref_perturb.apply d prev delta in
+      let named = Array.make n false and removes = ref false in
+      List.iter
+        (function
+          | Delta.Move { cell; _ } | Delta.Resize { cell; _ } ->
+            if cell >= 0 && cell < n then named.(cell) <- true
+          | Delta.Remove _ -> removes := true
+          | Delta.Add _ | Delta.Add_macro _ -> ())
+        delta;
+      got = want
+      && d = perturb_design seed
+      &&
+      match got with
+      | Error _ -> true
+      | Ok p ->
+        let well_formed = (seed / 2) mod 6 < 3 in
+        !removes
+        || (((not well_formed) || p.Perturb.design.Design.nets == d.Design.nets)
+           && Array.for_all Fun.id
+                (Array.init n (fun c ->
+                     named.(c) || Design.cell p.Perturb.design c == Design.cell d c))))
+
 (* ---- eco engine ----------------------------------------------------- *)
 
 let test_eco_moves_legal () =
@@ -417,6 +510,7 @@ let suite =
       test_eco_freezes_outside_region;
     Alcotest.test_case "warm session equals one-shot eco" `Quick
       test_warm_eco_equals_one_shot;
+    prop_perturb_matches_reference;
     prop_eco_legal;
     prop_eco_displacement_bounded;
     prop_eco_deterministic_across_jobs;

@@ -356,6 +356,122 @@ let test_select_large_bin () =
         [ 5.; 40.; 150. ])
     g.G.edges.(src.G.id)
 
+(* The whole-cell pick loop without the suffix-maximum skip: each step
+   searches every remaining candidate for a better fit.  Gives the picked
+   cells, freed width and cost, or [None] short of [need], and counts in
+   [skips]/[runs] the steps whose search the skip would leave out or
+   keep. *)
+let ref_whole_cell cfg g ~(src : G.bin) ~dst ~kind ~need ~skips ~runs =
+  let frags = Array.of_list src.G.frags in
+  let n = Array.length frags in
+  let cell = Array.map (fun (f : G.frag) -> f.G.cell) frags in
+  let held =
+    Array.map
+      (fun (f : G.frag) ->
+        f.G.rho *. float_of_int (G.cell_width g ~cell:f.G.cell ~die:src.G.die))
+      frags
+  in
+  let uc = Array.make n 0. and order = Array.make n 0 in
+  L.Select.price cfg g cell ~n ~dst ~kind uc;
+  L.Select.sort_by_cost uc order n;
+  let h_r = float_of_int (Design.die g.G.design src.G.die).Die.row_height in
+  let freed = ref 0. and cost = ref 0. and k = ref 0 and swap = ref (-1) in
+  while !swap < 0 && (not (!freed >= need -. 1e-9)) && !k < n do
+    let i = order.(!k) in
+    let remaining = need -. !freed in
+    let fit = ref (-1) in
+    for k' = !k to n - 1 do
+      let j = order.(k') in
+      if
+        uc.(j) <= uc.(i) +. h_r
+        && held.(j) >= remaining -. 1e-9
+        && not (!fit >= 0 && held.(!fit) <= held.(j))
+      then fit := j
+    done;
+    let widest = ref neg_infinity in
+    for k' = !k to n - 1 do
+      widest := Float.max !widest held.(order.(k'))
+    done;
+    incr (if !widest >= remaining -. 1e-9 then runs else skips);
+    let j = !fit in
+    if j >= 0 && (held.(j) < held.(i) || uc.(j) <= uc.(i)) then begin
+      swap := j;
+      freed := !freed +. held.(j);
+      cost := !cost +. uc.(j)
+    end
+    else begin
+      freed := !freed +. held.(i);
+      cost := !cost +. uc.(i);
+      incr k
+    end
+  done;
+  if !swap < 0 && not (!freed >= need -. 1e-9) then None
+  else
+    Some
+      ( List.init !k (fun m -> cell.(order.(m)))
+        @ (if !swap >= 0 then [ cell.(!swap) ] else []),
+        !freed,
+        !cost )
+
+(* Bins that each hold one wide cell among many narrow ones: once the
+   wide cell is picked or passed, no remaining candidate covers a large
+   remainder, so the better-fit search is skipped; before that, and for
+   small remainders, it runs.  On every edge and a spread of needs, the
+   cached cost-only selection equals [Select.select], and on whole-cell
+   edges [select] picks what the loop without the skip picks. *)
+let test_select_wide_among_narrow () =
+  let dies =
+    [|
+      Die.make ~index:0 ~outline:(Rect.make ~x:0 ~y:0 ~w:240 ~h:30) ~row_height:10 ();
+      Die.make ~index:1 ~outline:(Rect.make ~x:0 ~y:0 ~w:240 ~h:30) ~row_height:10 ();
+    |]
+  in
+  let rng = Prng.create 5 in
+  let cells =
+    Array.init 240 (fun id ->
+        let group = id / 40 in
+        let w = if id mod 40 = 0 then 24 + Prng.int rng 8 else 1 + Prng.int rng 3 in
+        Cell.make ~id ~widths:[| w; w + Prng.int rng 2 |]
+          ~gp_x:((80 * (group mod 3)) + 10 + Prng.int rng 30)
+          ~gp_y:(10 * (group / 3)) ~gp_z:(Prng.float rng 1.0) ())
+  in
+  let g = grid_of (Design.make ~name:"wide" ~dies ~cells ()) ~bin_width:40 in
+  let cache = L.Select.create_cache g in
+  let s = L.Select.sums () in
+  let cfg = Config.default in
+  let skips = ref 0 and runs = ref 0 in
+  Array.iter
+    (fun (src : G.bin) ->
+      Array.iteri
+        (fun edge (e : G.edge) ->
+          let dst = g.G.bins.(e.G.dst) and kind = e.G.kind in
+          List.iter
+            (fun need ->
+              let want = L.Select.select cfg g ~src ~dst ~kind ~need in
+              Alcotest.(check bool) "cost-only selection" true
+                (cost_only_matches cache cfg g ~src ~edge ~need s want);
+              if kind <> G.Horizontal then
+                match
+                  (want, ref_whole_cell cfg g ~src ~dst ~kind ~need ~skips ~runs)
+                with
+                | None, None -> ()
+                | None, Some _ ->
+                  Alcotest.(check bool) "only the utilization cap refuses" true
+                    (kind = G.D2d)
+                | Some _, None -> Alcotest.fail "select found what the loop did not"
+                | Some sel, Some (picked, freed, cost) ->
+                  Alcotest.(check (list int)) "picks" picked
+                    (List.map
+                       (fun (p : L.Select.pick) -> p.L.Select.p_cell)
+                       sel.L.Select.picks);
+                  Alcotest.(check bool) "freed and cost" true
+                    (bits freed = bits sel.L.Select.freed
+                    && bits cost = bits sel.L.Select.sel_cost))
+            [ 0.5; 2.; 3.5; 8.; 20.; 27.; 40.; 60.; 0.9 *. src.G.used ])
+        g.G.edges.(src.G.id))
+    g.G.bins;
+  Alcotest.(check bool) "searches both skipped and run" true (!skips > 0 && !runs > 0)
+
 (* [Select.sort_by_cost] against [Array.sort] on the identity: the same
    permutation, so the same order among equal costs.  Costs come mostly
    from a few values, signed zeros included, so most arrays are full of
@@ -529,6 +645,8 @@ let suite =
     prop_select_cache_matches;
     Alcotest.test_case "selection out of an oversized bin" `Quick
       test_select_large_bin;
+    Alcotest.test_case "selection out of a bin with one wide cell" `Quick
+      test_select_wide_among_narrow;
     prop_sort_matches_stdlib;
     prop_relief_matches_reference;
     Alcotest.test_case "relief at the utilization boundary" `Quick
