@@ -16,7 +16,9 @@
    A second file, [golden_io.txt], pins the bytes of every writer in the
    same way: the native design and placement text, the contest dialect,
    and the canonical LEF and per-die DEF exports of two generated cases.
-   A change to how files are rendered must leave those digests alone. *)
+   A change to how files are rendered must leave those digests alone.
+   Two more lines per case pin the importer: the design and placement
+   that reading that export back and converting it give. *)
 
 module Spec = Tdf_benchgen.Spec
 module Gen = Tdf_benchgen.Gen
@@ -167,6 +169,23 @@ let test_golden_digests () = check_digests golden_file (computed ())
    unlegalized placement, so the digests depend on the writers alone. *)
 let io_cases = [ ((Spec.Iccad2023, "case2"), 0.1); ((Spec.Iccad2022, "case3"), 0.25) ]
 
+(* Importer output: the export read back through [Lef.read]/[Def.read]
+   and converted by [Def.to_design], rendered in the native text format,
+   so the digests pin the readers and the converter as the lines above
+   pin the writers. *)
+let import_digests ~crc case scale lef defs =
+  let module Lef = Tdf_def_lef.Lef in
+  let module Def = Tdf_def_lef.Def in
+  let lef = Lef.read_exn (Lef.to_string lef) in
+  let defs = List.map (fun d -> Def.read_exn (Def.to_string d)) defs in
+  match Def.to_design ~lef defs with
+  | Error e -> Alcotest.failf "%s: import of the export failed: %s" (key case scale "") e
+  | Ok (d, p) ->
+    [
+      (key case scale "import-design", crc (Tdf_io.Text.design_to_string d));
+      (key case scale "import-placement", crc (Tdf_io.Text.placement_to_string d p));
+    ]
+
 let io_digests () =
   let crc s = Crc32.to_hex (Crc32.string s) in
   List.concat_map
@@ -184,7 +203,8 @@ let io_digests () =
       @ List.mapi
           (fun i d ->
             (key case scale (Printf.sprintf "def-d%d" i), crc (Tdf_def_lef.Def.to_string d)))
-          defs)
+          defs
+      @ import_digests ~crc case scale lef defs)
     io_cases
 
 let test_io_digests () = check_digests golden_io_file (io_digests ())
