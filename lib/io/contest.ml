@@ -303,7 +303,9 @@ let render ?terminal (d : Design.t) =
       word c.Cell.name;
       int c.Cell.gp_x;
       int c.Cell.gp_y;
-      Printf.bprintf b " %.6f\n" c.Cell.gp_z)
+      Buffer.add_char b ' ';
+      Tdf_util.Decimal.add_fixed6 b c.Cell.gp_z;
+      nl ())
     d.Design.cells;
   Array.iteri
     (fun i (m : Blockage.t) ->

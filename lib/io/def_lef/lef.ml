@@ -25,7 +25,7 @@ let parse_size cur =
   expect cur "BY";
   let h = next cur "SIZE" in
   expect cur ";";
-  (int_of ~line:w.line w.word, int_of ~line:h.line h.word)
+  (int cur w, int cur h)
 
 (* Body shared by SITE and MACRO up to END <name>; returns (class, size).
    [skip_blocks] enables the MACRO-only nested PIN/OBS constructs. *)
@@ -33,105 +33,120 @@ let parse_body cur ~what ~name ~skip_blocks =
   let cls = ref "" and size = ref None in
   let rec loop () =
     let t = next cur what in
-    match t.word with
-    | "END" ->
+    if equal cur t "END" then begin
       let e = next cur "END" in
-      if e.word <> name then
-        fail "line %d: END %s does not close %s %s" e.line e.word what name
-    | "CLASS" ->
+      if not (equal cur e name) then
+        fail "line %d: END %s does not close %s %s" (line_of cur e) (word cur e)
+          what name
+    end
+    else if equal cur t "CLASS" then begin
       let c = next cur "CLASS" in
       expect cur ";";
-      cls := c.word;
+      cls := word cur c;
       loop ()
-    | "SIZE" ->
+    end
+    else if equal cur t "SIZE" then begin
       size := Some (parse_size cur);
       loop ()
-    | "SYMMETRY" | "ORIGIN" | "FOREIGN" | "SITE" ->
+    end
+    else if
+      equal cur t "SYMMETRY" || equal cur t "ORIGIN" || equal cur t "FOREIGN"
+      || equal cur t "SITE"
+    then begin
       skip_statement cur;
       loop ()
-    | "PIN" when skip_blocks ->
+    end
+    else if skip_blocks && equal cur t "PIN" then begin
       (* PIN <p> ... END <p> *)
-      let p = next cur "PIN" in
+      let p = word cur (next cur "PIN") in
       let rec skip_pin () =
         let t = next cur "PIN block" in
-        if t.word = "END" then begin
+        if equal cur t "END" then begin
           let e = next cur "END" in
-          if e.word <> p.word then skip_pin ()
+          if not (equal cur e p) then skip_pin ()
         end
         else skip_pin ()
       in
       skip_pin ();
       loop ()
-    | "OBS" when skip_blocks ->
+    end
+    else if skip_blocks && equal cur t "OBS" then begin
       let rec skip_obs () =
         let t = next cur "OBS block" in
-        if t.word <> "END" then skip_obs ()
+        if not (equal cur t "END") then skip_obs ()
       in
       skip_obs ();
       loop ()
-    | w -> fail "line %d: unrecognized %s statement %S" t.line what w
+    end
+    else fail "line %d: unrecognized %s statement %S" (line_of cur t) what (word cur t)
   in
   loop ();
   match !size with
   | Some (w, h) -> (!cls, w, h)
   | None -> fail "%s %s: missing SIZE" what name
 
+(* Skip a block up to END <keyword>. *)
+let rec skip_block cur what keyword =
+  let t = next cur what in
+  if equal cur t "END" then expect cur keyword else skip_block cur what keyword
+
 let parse cur exts =
   let sites = ref [] and macros = ref [] in
   let widths_of = Hashtbl.create 8 in
   List.iter
-    (fun (line, ws) ->
-      match ws with
-      | "tdflow.widths" :: name :: (_ :: _ as rest) ->
-        Hashtbl.replace widths_of name
-          (Array.of_list (List.map (int_of ~line) rest))
-      | "tdflow.widths" :: _ ->
-        fail "line %d: tdflow.widths needs a macro name and widths" line
-      | kw :: _ -> fail "line %d: unknown extension comment %S" line kw
-      | [] -> ())
+    (fun e ->
+      let line = ext_line e and c = ext_cursor cur e in
+      let kw = next c "extension" in
+      if equal c kw "tdflow.widths" then begin
+        let rec rest acc = if at_end c then List.rev acc else rest (next c "" :: acc) in
+        match rest [] with
+        | name :: (_ :: _ as ws) ->
+          Hashtbl.replace widths_of (word c name)
+            (Array.of_list (List.map (int c) ws))
+        | _ -> fail "line %d: tdflow.widths needs a macro name and widths" line
+      end
+      else fail "line %d: unknown extension comment %S" line (word c kw))
     exts;
   let rec loop () =
     let t = next cur "library" in
-    match t.word with
-    | "END" ->
+    if equal cur t "END" then begin
       expect cur "LIBRARY";
-      (match peek cur with
-      | Some t -> fail "line %d: trailing tokens after END LIBRARY" t.line
-      | None -> ())
-    | "VERSION" | "NAMESCASESENSITIVE" | "BUSBITCHARS" | "DIVIDERCHAR"
-    | "MANUFACTURINGGRID" ->
+      if not (at_end cur) then
+        fail "line %d: trailing tokens after END LIBRARY" (line cur)
+    end
+    else if
+      equal cur t "VERSION" || equal cur t "NAMESCASESENSITIVE"
+      || equal cur t "BUSBITCHARS" || equal cur t "DIVIDERCHAR"
+      || equal cur t "MANUFACTURINGGRID"
+    then begin
       skip_statement cur;
       loop ()
-    | "UNITS" ->
-      let rec skip () =
-        let t = next cur "UNITS block" in
-        if t.word = "END" then expect cur "UNITS" else skip ()
-      in
-      skip ();
+    end
+    else if equal cur t "UNITS" then begin
+      skip_block cur "UNITS block" "UNITS";
       loop ()
-    | "PROPERTYDEFINITIONS" ->
-      let rec skip () =
-        let t = next cur "PROPERTYDEFINITIONS block" in
-        if t.word = "END" then expect cur "PROPERTYDEFINITIONS" else skip ()
-      in
-      skip ();
+    end
+    else if equal cur t "PROPERTYDEFINITIONS" then begin
+      skip_block cur "PROPERTYDEFINITIONS block" "PROPERTYDEFINITIONS";
       loop ()
-    | "SITE" ->
-      let name = (next cur "SITE").word in
+    end
+    else if equal cur t "SITE" then begin
+      let name = word cur (next cur "SITE") in
       let s_class, s_w, s_h =
         parse_body cur ~what:"SITE" ~name ~skip_blocks:false
       in
       if s_w <= 0 || s_h <= 0 then
-        fail "line %d: SITE %s has a non-positive SIZE" t.line name;
+        fail "line %d: SITE %s has a non-positive SIZE" (line_of cur t) name;
       sites := { s_name = name; s_class; s_w; s_h } :: !sites;
       loop ()
-    | "MACRO" ->
-      let name = (next cur "MACRO").word in
+    end
+    else if equal cur t "MACRO" then begin
+      let name = word cur (next cur "MACRO") in
       let m_class, m_w, m_h =
         parse_body cur ~what:"MACRO" ~name ~skip_blocks:true
       in
       if m_w <= 0 || m_h <= 0 then
-        fail "line %d: MACRO %s has a non-positive SIZE" t.line name;
+        fail "line %d: MACRO %s has a non-positive SIZE" (line_of cur t) name;
       macros :=
         {
           m_name = name;
@@ -142,7 +157,8 @@ let parse cur exts =
         }
         :: !macros;
       loop ()
-    | w -> fail "line %d: unrecognized library statement %S" t.line w
+    end
+    else fail "line %d: unrecognized library statement %S" (line_of cur t) (word cur t)
   in
   loop ();
   (* A widths comment naming an absent macro is a typo worth catching. *)

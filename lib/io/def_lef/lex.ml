@@ -2,17 +2,38 @@ exception Parse of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Parse s)) fmt
 
-type tok = { line : int; word : string }
+type tok = int
+
+type ext = { e_line : int; e_start : int; e_stop : int }
 
 type cursor = {
   text : string;
+  limit : int;  (* end of the bytes this cursor reads *)
+  in_comment : bool;  (* an extension comment's words: '#' is a word byte *)
   mutable pos : int;  (* next unread byte *)
   mutable line : int;  (* line of text.[pos] *)
-  mutable ahead : tok option;  (* a token peeked but not consumed *)
-  mutable exts : (int * string list) list;  (* reversed *)
+  mutable start : int;
+      (* lookahead token text.[start, stop): -1 when none is scanned,
+         start = stop at end of input *)
+  mutable stop : int;
+  mutable last : int;  (* the last consumed token ... *)
+  mutable last_stop : int;  (* ... ends here, so matching it rescans nothing *)
+  mutable exts : ext list;  (* reversed *)
 }
 
-let cursor text = { text; pos = 0; line = 1; ahead = None; exts = [] }
+let cursor text =
+  {
+    text;
+    limit = String.length text;
+    in_comment = false;
+    pos = 0;
+    line = 1;
+    start = -1;
+    stop = -1;
+    last = -1;
+    last_stop = -1;
+    exts = [];
+  }
 
 (* Byte classes.  Blanks are space, tab and carriage return, plus the
    newline, which also counts lines.  `(`, `)` and `;` are tokens of their
@@ -32,37 +53,43 @@ let classes =
 
 let class_of c = String.unsafe_get classes (Char.code c)
 
-let punct_word = function '(' -> "(" | ')' -> ")" | _ -> ";"
-
-(* End of the word starting at i: the next byte of another class, or
-   [stop]. *)
-let word_end text i stop ~in_comment =
+(* End of the word starting at i: the next byte of another class, or the
+   cursor's limit. *)
+let word_end cur i =
+  let text = cur.text and limit = cur.limit in
   let j = ref i in
-  while
-    !j < stop
-    &&
-    let k = class_of (String.unsafe_get text !j) in
-    k = word_byte || (in_comment && k = hash)
-  do
-    incr j
-  done;
+  if cur.in_comment then
+    while
+      !j < limit
+      &&
+      let k = class_of (String.unsafe_get text !j) in
+      k = word_byte || k = hash
+    do
+      incr j
+    done
+  else
+    while !j < limit && class_of (String.unsafe_get text !j) = word_byte do
+      incr j
+    done;
   !j
 
-(* The words of the comment body text.[i, stop), split like code. *)
-let comment_words text i stop =
-  let rec go acc i =
-    if i >= stop then List.rev acc
-    else
-      let k = class_of text.[i] in
-      if k = blank then go acc (i + 1)
-      else if k = punct then go (punct_word text.[i] :: acc) (i + 1)
-      else
-        let j = word_end text i stop ~in_comment:true in
-        go (String.sub text i (j - i) :: acc) j
-  in
-  go [] i
+let tok_end cur t =
+  if t = cur.last then cur.last_stop
+  else if class_of (String.unsafe_get cur.text t) = punct then t + 1
+  else word_end cur t
 
-let is_ext text i stop = i + 7 <= stop && String.sub text i 7 = "tdflow."
+(* text.[i, i + |w|) = w, within the limit.  The loops here and in the
+   number readers close over nothing, so a call allocates nothing. *)
+let bytes_are cur i w =
+  let n = String.length w in
+  if i + n > cur.limit then false
+  else begin
+    let k = ref 0 in
+    while !k < n && String.unsafe_get cur.text (i + !k) = String.unsafe_get w !k do
+      incr k
+    done;
+    !k = n
+  end
 
 (* Consume the comment whose '#' is at [cur.pos], up to the end of its
    line, recording it when its first word starts with "tdflow.". *)
@@ -77,78 +104,162 @@ let comment cur =
   while !first < stop && class_of text.[!first] = blank do
     incr first
   done;
-  if is_ext text !first stop then
-    cur.exts <- (cur.line, comment_words text !first stop) :: cur.exts;
+  if !first + 7 <= stop && bytes_are cur !first "tdflow." then
+    cur.exts <- { e_line = cur.line; e_start = !first; e_stop = stop } :: cur.exts;
   cur.pos <- stop
 
-let rec scan cur =
-  let text = cur.text and i = cur.pos in
-  if i >= String.length text then None
-  else
-    let c = String.unsafe_get text i in
-    let k = class_of c in
-    if k = blank then begin
-      cur.pos <- i + 1;
-      scan cur
-    end
-    else if k = newline then begin
-      cur.line <- cur.line + 1;
-      cur.pos <- i + 1;
-      scan cur
-    end
-    else if k = hash then begin
-      comment cur;
-      scan cur
-    end
-    else if k = punct then begin
-      cur.pos <- i + 1;
-      Some { line = cur.line; word = punct_word c }
-    end
-    else
-      let j = word_end text i (String.length text) ~in_comment:false in
-      cur.pos <- j;
-      Some { line = cur.line; word = String.sub text i (j - i) }
+(* Scan the lookahead token if none is pending. *)
+let fill cur =
+  if cur.start < 0 then begin
+    let text = cur.text and limit = cur.limit in
+    let i = ref cur.pos in
+    while cur.start < 0 do
+      if !i >= limit then begin
+        cur.start <- !i;
+        cur.stop <- !i
+      end
+      else
+        let k = class_of (String.unsafe_get text !i) in
+        if k = blank then incr i
+        else if k = newline then begin
+          cur.line <- cur.line + 1;
+          incr i
+        end
+        else if k = hash && not cur.in_comment then begin
+          cur.pos <- !i;
+          comment cur;
+          i := cur.pos
+        end
+        else begin
+          let j = if k = punct then !i + 1 else word_end cur !i in
+          cur.start <- !i;
+          cur.stop <- j;
+          i := j
+        end
+    done;
+    cur.pos <- !i
+  end
 
-let peek cur =
-  match cur.ahead with
-  | Some _ as t -> t
-  | None ->
-    let t = scan cur in
-    cur.ahead <- t;
-    t
+let at_end cur =
+  fill cur;
+  cur.start = cur.stop
+
+let is cur w =
+  fill cur;
+  cur.stop - cur.start = String.length w && bytes_are cur cur.start w
+
+let line cur =
+  fill cur;
+  cur.line
 
 let next cur what =
-  match peek cur with
-  | Some t ->
-    cur.ahead <- None;
-    t
-  | None -> fail "unexpected end of file (in %s)" what
+  fill cur;
+  if cur.start = cur.stop then fail "unexpected end of file (in %s)" what;
+  let t = cur.start in
+  cur.start <- -1;
+  cur.last <- t;
+  cur.last_stop <- cur.stop;
+  t
+
+let equal cur t w = bytes_are cur t w && tok_end cur t = t + String.length w
+
+let word cur t = String.sub cur.text t (tok_end cur t - t)
+
+(* Tokens never span a newline, so the lines between a consumed token and
+   the read position are the newlines between them. *)
+let line_of cur t =
+  let l = ref cur.line in
+  for i = t to cur.pos - 1 do
+    if String.unsafe_get cur.text i = '\n' then decr l
+  done;
+  !l
 
 (* The diagnostic is formatted only on failure: [expect] runs for most
    punctuation tokens of a file. *)
 let expect cur w =
-  match peek cur with
-  | Some t ->
-    cur.ahead <- None;
-    if t.word <> w then fail "line %d: expected %S, got %S" t.line w t.word
-  | None -> fail "unexpected end of file (in %S)" w
+  fill cur;
+  if cur.start = cur.stop then fail "unexpected end of file (in %S)" w;
+  let t = cur.start in
+  cur.start <- -1;
+  if cur.stop - t <> String.length w || not (bytes_are cur t w) then
+    fail "line %d: expected %S, got %S" cur.line w (word cur t)
 
 let rec skip_statement cur =
   let t = next cur "statement" in
-  if t.word <> ";" then skip_statement cur
+  if not (equal cur t ";") then skip_statement cur
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* Numbers: the plain decimal forms the writers emit are read in place;
+   anything else (signs, prefixes, exponents, underscores, more digits)
+   goes through the stdlib conversion of a copy, which also decides what
+   is an error. *)
+let int cur t =
+  let text = cur.text and e = tok_end cur t in
+  let i0 = if String.unsafe_get text t = '-' then t + 1 else t in
+  let v = ref 0 and i = ref i0 in
+  while !i < e && is_digit (String.unsafe_get text !i) do
+    v := (!v * 10) + Char.code (String.unsafe_get text !i) - 48;
+    incr i
+  done;
+  if !i = e && e - i0 >= 1 && e - i0 <= 18 then if i0 > t then - !v else !v
+  else
+    let s = String.sub text t (e - t) in
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> fail "line %d: expected integer, got %S" (line_of cur t) s
+
+(* At most 15 significant digits make an exact double mantissa, and 10^k
+   (k <= 15) is exact, so one division rounds the decimal value once and
+   correctly, as the stdlib conversion does. *)
+let pow10 = Array.init 16 (fun k -> float_of_string ("1e" ^ string_of_int k))
+
+let float cur t =
+  let text = cur.text and e = tok_end cur t in
+  let i0 = if String.unsafe_get text t = '-' then t + 1 else t in
+  (* digits, then optionally '.' and more digits *)
+  let m = ref 0 and nd = ref 0 and k = ref 0 and i = ref i0 in
+  while !i < e && is_digit (String.unsafe_get text !i) do
+    m := (!m * 10) + Char.code (String.unsafe_get text !i) - 48;
+    incr nd;
+    incr i
+  done;
+  if !nd >= 1 && !i < e && String.unsafe_get text !i = '.' then begin
+    incr i;
+    while !i < e && is_digit (String.unsafe_get text !i) do
+      m := (!m * 10) + Char.code (String.unsafe_get text !i) - 48;
+      incr nd;
+      incr k;
+      incr i
+    done
+  end;
+  if !i = e && !nd >= 1 && !nd <= 15 then
+    let v = float_of_int !m /. pow10.(!k) in
+    if i0 > t then -.v else v
+  else
+    let s = String.sub text t (e - t) in
+    match float_of_string_opt s with
+    | Some v -> v
+    | None -> fail "line %d: expected number, got %S" (line_of cur t) s
 
 let extensions cur =
-  let rec drain () = match scan cur with Some _ -> drain () | None -> () in
-  drain ();
-  cur.ahead <- None;
+  while not (at_end cur) do
+    cur.start <- -1
+  done;
   List.rev cur.exts
 
-let int_of ~line s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail "line %d: expected integer, got %S" line s
+let ext_line e = e.e_line
 
-let float_of ~line s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail "line %d: expected number, got %S" line s
+let ext_cursor cur e =
+  {
+    text = cur.text;
+    limit = e.e_stop;
+    in_comment = true;
+    pos = e.e_start;
+    line = e.e_line;
+    start = -1;
+    stop = -1;
+    last = -1;
+    last_stop = -1;
+    exts = [];
+  }

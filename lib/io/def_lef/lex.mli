@@ -5,13 +5,17 @@
     lines.  The cursor reads the input in one pass, one token of
     lookahead at a time.  Blanks are space, tab, carriage return and
     newline; [(], [)] and [;] are tokens of their own even when glued to
-    a neighbor.  Every token carries its 1-based source line for the
+    a neighbor.  Every token has a 1-based source line for the
     ["line %d: ..."] diagnostics the rest of [lib/io] uses.  [#] starts a
     comment that runs to the end of its line; the cursor keeps the
     [# tdflow.*] extension comments that carry the data plain DEF/LEF
     cannot express (per-die widths, global-placement seeds, die pairing)
     and drops every other comment, so a real tool's DEF passes through
-    untouched. *)
+    untouched.
+
+    Tokens stay in the input: a consumed token is its byte offset
+    ({!tok}), matched against keywords and parsed as a number in place.
+    Only {!word} copies one out, for the names a reader keeps. *)
 
 exception Parse of string
 (** Internal to {!Lef.read} / {!Def.read}; both catch it and return
@@ -20,16 +24,25 @@ exception Parse of string
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Parse} with a formatted diagnostic. *)
 
-type tok = { line : int; word : string }
-
 (** A read position in the input, with its lookahead token and the
     extension comments passed so far. *)
 type cursor
 
+type tok = int
+(** A consumed token: the offset of its first byte in the input.  Read
+    it back through the cursor that returned it. *)
+
 val cursor : string -> cursor
 
-val peek : cursor -> tok option
-(** [None] at end of input. *)
+val at_end : cursor -> bool
+(** No token left. *)
+
+val is : cursor -> string -> bool
+(** The lookahead token equals the word ([false] at end of input); it is
+    not consumed. *)
+
+val line : cursor -> int
+(** Line of the lookahead token. *)
 
 val next : cursor -> string -> tok
 (** Consume one token; fails with ["unexpected end of file (in <what>)"]
@@ -43,11 +56,36 @@ val skip_statement : cursor -> unit
 (** Consume tokens up to and including the next [;] (for statements the
     subset recognizes but does not interpret). *)
 
-val extensions : cursor -> (int * string list) list
-(** Read the rest of the input and return every extension comment of the
-    whole input in order: one [(line, words)] entry per comment whose
-    first word starts with ["tdflow."], the ["#"] itself stripped and the
-    words split like tokens. *)
+val equal : cursor -> tok -> string -> bool
+(** The token equals the word. *)
 
-val int_of : line:int -> string -> int
-val float_of : line:int -> string -> float
+val word : cursor -> tok -> string
+(** The token's text, copied out of the input. *)
+
+val line_of : cursor -> tok -> int
+(** The token's source line. *)
+
+val int : cursor -> tok -> int
+(** The token as [int_of_string] reads it; fails with
+    ["line %d: expected integer, got %S"]. *)
+
+val float : cursor -> tok -> float
+(** The token as [float_of_string] reads it; fails with
+    ["line %d: expected number, got %S"]. *)
+
+(** {1 Extension comments} *)
+
+type ext
+(** One [# tdflow.*] comment: its line and the span of its words. *)
+
+val extensions : cursor -> ext list
+(** Read the rest of the input and return every extension comment of the
+    whole input in order: one entry per comment whose first word starts
+    with ["tdflow."], the ["#"] itself stripped. *)
+
+val ext_line : ext -> int
+
+val ext_cursor : cursor -> ext -> cursor
+(** A cursor over the comment's words, split like tokens except that [#]
+    is an ordinary byte inside a comment.  Its tokens report the
+    comment's line. *)

@@ -21,14 +21,14 @@ module Placement = Tdf_netlist.Placement
 
 open Lines
 
-(* Writers render into one buffer; only the float fields go through
-   Printf. *)
+(* Writers render into one buffer, floats through the shared exact
+   "%.6f" formatter. *)
 let render_design (d : Design.t) =
   let b = Buffer.create (64 * (Design.n_cells d + Array.length d.Design.nets + 8)) in
   let str = Buffer.add_string b and nl () = Buffer.add_char b '\n' in
   let word s = Buffer.add_char b ' '; str s in
   let int v = word (string_of_int v) in
-  let flt v = Printf.bprintf b " %.6f" v in
+  let flt v = Buffer.add_char b ' '; Tdf_util.Decimal.add_fixed6 b v in
   str "design";
   word d.Design.name;
   nl ();

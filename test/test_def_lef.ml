@@ -24,7 +24,20 @@ let read_file path =
   close_in ic;
   s
 
-let import_example () =
+(* Equal down to the bits of every float and blind to sharing. *)
+let identical a b =
+  Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
+
+(* [Def.to_design], checked against the reference converter
+   (test/ref_def.ml): the same [Ok] value or the same [Error] string. *)
+let to_design ~lef defs =
+  let got = Def.to_design ~lef defs in
+  if not (identical got (Ref_def.Def.to_design ~lef defs)) then
+    Alcotest.failf "to_design differs from the reference (got %s)"
+      (match got with Ok _ -> "Ok" | Error e -> "Error " ^ e);
+  got
+
+let example_pair () =
   let lef =
     match Lef.load (example "small.lef") with
     | Ok l -> l
@@ -38,7 +51,11 @@ let import_example () =
         | Error e -> Alcotest.failf "example %s: %s" f e)
       [ "small.d0.def"; "small.d1.def" ]
   in
-  match Def.to_design ~lef defs with
+  (lef, defs)
+
+let import_example () =
+  let lef, defs = example_pair () in
+  match to_design ~lef defs with
   | Ok (d, p) -> (d, p)
   | Error e -> Alcotest.failf "example import: %s" e
 
@@ -181,7 +198,7 @@ let test_to_design_errors () =
   in
   let row = "ROW r s 0 0 N DO 20 BY 1 ;" in
   let expect_error what defs =
-    match Def.to_design ~lef defs with
+    match to_design ~lef defs with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "expected %s to fail" what
   in
@@ -216,7 +233,7 @@ let test_to_design_errors () =
        LIBRARY"
   in
   (match
-     Def.to_design ~lef:lef_tall
+     to_design ~lef:lef_tall
        [ Def.read_exn (base row [ "a m + PLACED ( 0 0 ) N" ]) ]
    with
   | Error _ -> ()
@@ -229,7 +246,7 @@ let canonical_strings design placement =
 let reimport (ltxt, dtxts) =
   let lef = Lef.read_exn ltxt in
   let defs = List.map Def.read_exn dtxts in
-  match Def.to_design ~lef defs with
+  match to_design ~lef defs with
   | Ok (d, p) -> (d, p)
   | Error e -> Alcotest.failf "reimport failed: %s" e
 

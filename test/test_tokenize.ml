@@ -92,17 +92,24 @@ let input seed =
 
 (* ---- streams ------------------------------------------------------- *)
 
+let drain cur =
+  let rec go acc =
+    if Lex.at_end cur then List.rev acc
+    else
+      let t = Lex.next cur "token" in
+      go ((Lex.line_of cur t, Lex.word cur t) :: acc)
+  in
+  go []
+
 let cursor_stream text =
   let cur = Lex.cursor text in
-  let rec drain acc =
-    match Lex.peek cur with
-    | None -> List.rev acc
-    | Some _ ->
-      let t = Lex.next cur "token" in
-      drain ((t.Lex.line, t.Lex.word) :: acc)
+  let toks = drain cur in
+  let exts =
+    List.map
+      (fun e -> (Lex.ext_line e, List.map snd (drain (Lex.ext_cursor cur e))))
+      (Lex.extensions cur)
   in
-  let toks = drain [] in
-  (toks, Lex.extensions cur)
+  (toks, exts)
 
 let lines_stream text =
   let acc = ref [] in
@@ -164,6 +171,153 @@ let prop_readers =
   Props.test "readers: raw input parses like its reference token stream"
     ~count:300 seeds (fun seed ->
       readers_agree (input seed))
+
+(* Equal down to the bits of every float (so -0.0 differs from 0.0) and
+   blind to sharing. *)
+let identical a b =
+  Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
+
+let prop_reference_readers =
+  Props.test "readers: same value or error as the reference readers" ~count:400
+    seeds (fun seed ->
+      let text = input seed in
+      identical (Def.read text) (Ref_def.Def.read text)
+      && identical (Lef.read text) (Ref_def.Lef.read text))
+
+(* Inputs with several faults, where the order of the checks decides the
+   message: every one against the reference readers. *)
+let test_reference_error_order () =
+  let def_body = "DESIGN d ;\nDIEAREA ( 0 0 ) ( 9 9 ) ;\n" in
+  let defs =
+    [
+      "DESIGN d ;\nDIEAREA ( a b ) ( c d ) ;\nEND DESIGN";
+      "DESIGN d ;\nDIEAREA ( a b";
+      def_body ^ "ROW r s x y N DO c BY 1 ;\nEND DESIGN";
+      def_body ^ "ROW r s x y N DO c BY 2 STEP u v ;\nEND DESIGN";
+      def_body ^ "ROW r s 0 0 N DO 4 BY 1 STEP u v ;\nEND DESIGN";
+      def_body ^ "COMPONENTS x ;\n- a m + PLACED ( p q ) N ;\nEND COMPONENTS\nEND DESIGN";
+      def_body ^ "COMPONENTS 2 ;\n- a m + PLACED ( p q ) N ;\nEND COMPONENTS\nEND DESIGN";
+      def_body ^ "BLOCKAGES 1 ;\n- PLACEMENT RECT ( 5 5 ) ( 1 1 ) ;\nEND BLOCKAGES\nEND DESIGN";
+      def_body ^ "PINS 1 ;\n- p + NET n + FIXED ( a b ) N + LAYER m1 ( 0 0 ) ;\nEND PINS\nEND DESIGN";
+      def_body ^ "COMPONENTS 1 ;\n- a m ;\nEND COMPONENTS\nCOMPONENTS 1 ;\nEND DESIGN";
+      def_body ^ "END DESIGN\n# tdflow.gp a x y z\n";
+      def_body ^ "END DESIGN\n# tdflow.gp a x y z w\n";
+      def_body ^ "END DESIGN\n# tdflow.gp a 1 2 0.5 w\n# tdflow.die x of y\n";
+      def_body ^ "END DESIGN\n# tdflow.die x of y\n";
+      def_body ^ "END DESIGN\n# tdflow.die 0 to 2\n";
+      def_body ^ "END DESIGN\n# tdflow.max_util 0.5 0.6\n";
+      def_body ^ "END DESIGN\n# tdflow.max_util -0.000000\n# tdflow.gp a -0 -0 -0.0\n";
+      def_body ^ "END DESIGN\n#tdflow.gp#x 1 2 0.5 #w\n";
+    ]
+  in
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "Def.read %S" text) true
+        (identical (Def.read text) (Ref_def.Def.read text)))
+    defs;
+  let lefs =
+    [
+      "SITE s\nSIZE a BY b ;\nEND s\nEND LIBRARY";
+      "MACRO m\nSIZE 0 BY b ;\nEND x\nEND LIBRARY";
+      "# tdflow.widths m a b\nMACRO m\nSIZE 1 BY 1 ;\nEND m\nEND LIBRARY";
+      "# tdflow.widths m 1 -2\n# tdflow.widths n 3\nMACRO m\nSIZE 1 BY 1 ;\nEND m\nEND LIBRARY";
+      "MACRO m\nPIN a\nEND b\nEND a\nSIZE 1 BY 1 ;\nEND m\nEND LIBRARY";
+      "SITE s\nPIN a\nEND a\nEND s\nEND LIBRARY";
+    ]
+  in
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "Lef.read %S" text) true
+        (identical (Lef.read text) (Ref_def.Lef.read text)))
+    lefs
+
+(* A name (a word with a letter and a digit) replaced by a name from
+   elsewhere in the file: the file still parses, and the converter meets
+   duplicate, unknown and misplaced names. *)
+let swap_names rng text =
+  let is_name w =
+    String.exists (fun c -> c >= '0' && c <= '9') w
+    && String.exists (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) w
+  in
+  let lines = Array.map (fun l -> Array.of_list (String.split_on_char ' ' l))
+      (Array.of_list (String.split_on_char '\n' text)) in
+  let spots = ref [] in
+  Array.iteri (fun i ws -> Array.iteri (fun j w -> if is_name w then spots := (i, j) :: !spots) ws) lines;
+  let spots = Array.of_list !spots in
+  if spots <> [||] then
+    for _ = 1 to Prng.int_in rng 1 3 do
+      let i, j = pick rng spots and si, sj = pick rng spots in
+      lines.(i).(j) <- lines.(si).(sj)
+    done;
+  String.concat "\n" (Array.to_list (Array.map (fun ws -> String.concat " " (Array.to_list ws)) lines))
+
+(* LEF and per-die DEF texts: a canonical export and the example pair. *)
+let imports =
+  lazy
+    (let lef, defs = Def.of_design (Lazy.force design0) in
+     let example f = read_file ("../examples/open_design/" ^ f) in
+     [|
+       Lef.to_string lef :: List.map Def.to_string defs;
+       List.map example [ "small.lef"; "small.d0.def"; "small.d1.def" ];
+     |])
+
+let prop_reference_converter =
+  Props.test "to_design: same value or error as the reference converter"
+    ~count:300 seeds (fun seed ->
+      let rng = Prng.create seed in
+      let files = Array.of_list (pick rng (Lazy.force imports)) in
+      let k = Prng.int_in rng 0 (Array.length files - 1) in
+      files.(k) <-
+        (if Prng.int_in rng 0 3 = 0 then mutate rng files.(k) else swap_names rng files.(k));
+      (* an extra or a missing DEF file, now and then *)
+      let defs = List.tl (Array.to_list files) in
+      let defs =
+        match Prng.int_in rng 0 5 with
+        | 0 -> List.tl defs
+        | 1 -> defs @ [ List.hd defs ]
+        | _ -> defs
+      in
+      match (Lef.read files.(0), List.map Def.read defs) with
+      | Ok lef, defs when List.for_all Result.is_ok defs ->
+        let defs = List.map Result.get_ok defs in
+        identical (Def.to_design ~lef defs) (Ref_def.Def.to_design ~lef defs)
+      | _ -> true)
+
+(* Number tokens: the in-place fast paths and the stdlib on a copy must
+   agree, errors included. *)
+let number_pieces =
+  [|
+    "0"; "7"; "42"; "9"; "000"; "-"; "+"; "."; "_"; "e"; "E-3"; "x"; "0x1f";
+    "123456789"; "999999999999999999"; "inf"; "nan"; "N";
+  |]
+
+let number_token rng =
+  match Prng.int_in rng 0 3 with
+  | 0 -> String.concat "" (List.init (Prng.int_in rng 1 5) (fun _ -> pick rng number_pieces))
+  | 1 -> Printf.sprintf "%d" (Prng.int_in rng (-1_000_000_000) 1_000_000_000)
+  | 2 -> Printf.sprintf "%.*f" (Prng.int_in rng 0 9) (Int64.float_of_bits (Prng.bits64 rng))
+  | _ ->
+    Printf.sprintf "%.*f" (Prng.int_in rng 0 9)
+      (float_of_int (Prng.int_in rng (-1_000_000) 1_000_000) /. 1024.)
+
+let lex_number f text =
+  let cur = Lex.cursor text in
+  match f cur (Lex.next cur "number") with
+  | v -> Ok v
+  | exception Lex.Parse msg -> Error msg
+
+let prop_numbers =
+  Props.test "cursor: numbers read in place as int_of_string/float_of_string"
+    ~count:2000 seeds (fun seed ->
+      let rng = Prng.create seed in
+      let w = number_token rng in
+      let want conv what =
+        match conv w with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "line 1: expected %s, got %S" what w)
+      in
+      identical (lex_number Lex.int w) (want int_of_string_opt "integer")
+      && identical (lex_number Lex.float w) (want float_of_string_opt "number"))
 
 (* The corner cases the two separator sets and the comment rules hinge
    on, checked against the references by name. *)
@@ -304,6 +458,11 @@ let suite =
     prop_cursor;
     prop_lines;
     prop_readers;
+    Alcotest.test_case "readers: multi-fault inputs fail like the reference" `Quick
+      test_reference_error_order;
+    prop_reference_readers;
+    prop_reference_converter;
+    prop_numbers;
     fuzz_truncation;
     fuzz_comment_injection;
     fuzz_whitespace;

@@ -429,6 +429,101 @@ let test_timer_conversions () =
   let dt = Timer.ns_to_s (Timer.elapsed_ns t0) in
   Alcotest.(check bool) "sleep measured" true (dt >= 0.009 && dt < 5.)
 
+(* ---- Decimal: the writers' number rendering ------------------------ *)
+
+module Decimal = Tdf_util.Decimal
+
+let fixed6 x =
+  let b = Buffer.create 32 in
+  Decimal.add_fixed6 b x;
+  Buffer.contents b
+
+let same_as_printf x = fixed6 x = Printf.sprintf "%.6f" x
+
+(* Exact ties: an odd multiple of 1/128 is k + 1/2 millionths. *)
+let ties =
+  List.concat_map
+    (fun base ->
+      List.concat_map
+        (fun j ->
+          let x = base +. (float_of_int ((2 * j) + 1) /. 128.) in
+          [ x; -.x ])
+        (List.init 64 Fun.id))
+    [ 0.; 1.; 12345.; 4096. *. 4096. *. 64. ]
+
+let limit = 9007199254.740992
+
+let edges =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  List.concat_map
+    (fun x -> [ x; -.x ])
+    ([ 0.; Float.min_float; Int64.float_of_bits 1L; Int64.float_of_bits 0xfffffffffffffL; 5e-7; 1.5e-6 ]
+    @ around 5e-7 @ around 4.9999999e-7 @ around limit @ around 1e10
+    @ [ 1e300; Float.max_float; infinity; 0.1; 0.9; 1.0; 0.0078125; 123456.7890125 ])
+  @ [ nan; -.nan; Int64.float_of_bits 0x7ff8000000000001L ]
+
+let test_fixed6_cases () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h" x) (Printf.sprintf "%.6f" x) (fixed6 x))
+    (ties @ edges)
+
+(* Any double, mostly huge or tiny. *)
+let prop_fixed6_bits =
+  Props.test "fixed6: random bit patterns render as %.6f" ~count:3000
+    (Props.int_range 0 1_000_000) (fun seed ->
+      same_as_printf (Int64.float_of_bits (Prng.bits64 (Prng.create seed))))
+
+(* Doubles in the fast range, and doubles a few ulps from a tie there. *)
+let fast_range rng =
+  let m = 1. +. Prng.float rng 1. in
+  let x = Float.ldexp m (Prng.int_in rng (-30) 32) in
+  if Prng.bool rng then x else -.x
+
+let near_tie rng =
+  let k = Prng.int_in rng 0 (1 lsl Prng.int_in rng 1 52) in
+  let x = ref ((float_of_int k +. 0.5) /. 1e6) in
+  for _ = 1 to Prng.int_in rng 0 4 do
+    x := if Prng.bool rng then Float.succ !x else Float.pred !x
+  done;
+  !x
+
+let prop_fixed6_near =
+  Props.test "fixed6: fast-range and near-tie values render as %.6f"
+    ~count:5000 (Props.int_range 0 1_000_000) (fun seed ->
+      let rng = Prng.create seed in
+      same_as_printf (fast_range rng) && same_as_printf (near_tie rng))
+
+(* The fast path gives up only within 1e-9 of a tie: read the digits of
+   |x| * 10^6 past the point from the exact expansion and measure. *)
+let tie_distance x =
+  let s = Printf.sprintf "%.40f" (Float.abs x) in
+  let f = String.sub s (String.index s '.' + 1) 40 in
+  Float.abs (float_of_string ("0." ^ String.sub f 6 34) -. 0.5)
+
+let prop_round6_falls_back_near_ties =
+  Props.test "round6: Printf fallback only within 1e-9 of a tie" ~count:5000
+    (Props.int_range 0 1_000_000) (fun seed ->
+      let rng = Prng.create seed in
+      List.for_all
+        (fun x -> Decimal.round6 x >= 0 || tie_distance x < 1e-9 +. 1e-15)
+        [ fast_range rng; near_tie rng ])
+
+let prop_add_int =
+  Props.test "add_int renders as string_of_int" ~count:2000
+    (Props.int_range 0 1_000_000) (fun seed ->
+      let rng = Prng.create seed in
+      let v =
+        match Prng.int_in rng 0 2 with
+        | 0 -> Prng.int_in rng (-1000) 1000
+        | 1 -> Int64.to_int (Prng.bits64 rng)
+        | _ -> [| min_int; max_int; 0; -1 |].(Prng.int_in rng 0 3)
+      in
+      let b = Buffer.create 24 in
+      Decimal.add_int b v;
+      Buffer.contents b = string_of_int v)
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -460,4 +555,10 @@ let suite =
     Alcotest.test_case "timer" `Quick test_timer;
     Alcotest.test_case "timer monotonic" `Quick test_timer_monotonic;
     Alcotest.test_case "timer conversions" `Quick test_timer_conversions;
+    Alcotest.test_case "fixed6: ties, zeros, subnormals, limits" `Quick
+      test_fixed6_cases;
+    prop_fixed6_bits;
+    prop_fixed6_near;
+    prop_round6_falls_back_near_ties;
+    prop_add_int;
   ]
