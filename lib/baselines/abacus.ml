@@ -9,7 +9,8 @@ type seg_state = {
   mutable used : int;
 }
 
-let trial_cost design space states ~si ~cell =
+(* [row] is the caller's PlaceRow buffer, [weight] the cells' weights. *)
+let trial_cost design space states row ~weight ~si ~cell =
   let s = space.Rowspace.segs.(si) in
   let st = states.(si) in
   let c = Design.cell design cell in
@@ -17,29 +18,22 @@ let trial_cost design space states ~si ~cell =
   if st.used + w > s.Rowspace.hi - s.Rowspace.lo then None
   else begin
     let d = Design.die design s.Rowspace.die in
-    let inputs = Array.of_list ((cell, c.Cell.gp_x, w) :: st.cells) in
-    let weight c = (Design.cell design c).Cell.weight in
-    let placed =
-      Place_row.place_segment ~weight ~site:d.Die.site_width
-        ~anchor:d.Die.outline.Tdf_geometry.Rect.x ~lo:s.Rowspace.lo
-        ~hi:s.Rowspace.hi inputs
-    in
-    match List.find_opt (fun pl -> pl.Place_row.pl_cell = cell) placed with
-    | None -> None
-    | Some pl ->
-      let cost =
-        abs (pl.Place_row.pl_x - c.Cell.gp_x) + abs (s.Rowspace.y - c.Cell.gp_y)
-      in
-      Some cost
+    Place_row.clear row;
+    Place_row.add row ~cell ~x:c.Cell.gp_x ~w;
+    List.iter (fun (id, x, w) -> Place_row.add row ~cell:id ~x ~w) st.cells;
+    Place_row.place row ~weight ~site:d.Die.site_width
+      ~anchor:d.Die.outline.Tdf_geometry.Rect.x ~lo:s.Rowspace.lo
+      ~hi:s.Rowspace.hi;
+    Some (abs (Place_row.placed_x row 0 - c.Cell.gp_x) + abs (s.Rowspace.y - c.Cell.gp_y))
   end
 
-let try_die design space states cell ~die ~best =
+let try_die design space states row ~weight cell ~die ~best =
   let c = Design.cell design cell in
   let stop ydist =
     match !best with Some (cost, _) -> ydist > cost | None -> false
   in
   Rowspace.iter_rows_outward space ~die ~y:c.Cell.gp_y ~stop (fun si ->
-      match trial_cost design space states ~si ~cell with
+      match trial_cost design space states row ~weight ~si ~cell with
       | None -> ()
       | Some cost ->
         (match !best with
@@ -62,14 +56,17 @@ let legalize design =
       else compare a b)
     order;
   let nd = Design.n_dies design in
+  let weight = Array.map (fun (c : Cell.t) -> c.Cell.weight) design.Design.cells in
+  let row = Place_row.create () in
   Array.iter
     (fun cell ->
       let home = p.Placement.die.(cell) in
       let best = ref None in
-      try_die design space states cell ~die:home ~best;
+      try_die design space states row ~weight cell ~die:home ~best;
       if !best = None then
         for d = 0 to nd - 1 do
-          if d <> home && !best = None then try_die design space states cell ~die:d ~best
+          if d <> home && !best = None then
+            try_die design space states row ~weight cell ~die:d ~best
         done;
       match !best with
       | Some (_, si) ->
@@ -83,23 +80,22 @@ let legalize design =
   (* Final PlaceRow per segment writes the positions.  Segments own
      disjoint cell sets by construction, so they fan out over the domain
      pool; each segment's placement depends only on its own state. *)
-  Tdf_par.parallel_for ~n:(Array.length states) (fun si ->
+  Tdf_par.run_local ~local:Place_row.create ~n:(Array.length states)
+    (fun row si ->
       let st = states.(si) in
       if st.cells <> [] then begin
         let s = space.Rowspace.segs.(si) in
         let d = Design.die design s.Rowspace.die in
-        let weight c = (Design.cell design c).Cell.weight in
-        let placed =
-          Place_row.place_segment ~weight ~site:d.Die.site_width
-            ~anchor:d.Die.outline.Tdf_geometry.Rect.x ~lo:s.Rowspace.lo
-            ~hi:s.Rowspace.hi
-            (Array.of_list st.cells)
-        in
-        List.iter
-          (fun pl ->
-            p.Placement.x.(pl.Place_row.pl_cell) <- pl.Place_row.pl_x;
-            p.Placement.y.(pl.Place_row.pl_cell) <- s.Rowspace.y;
-            p.Placement.die.(pl.Place_row.pl_cell) <- s.Rowspace.die)
-          placed
+        Place_row.clear row;
+        List.iter (fun (id, x, w) -> Place_row.add row ~cell:id ~x ~w) st.cells;
+        Place_row.place row ~weight ~site:d.Die.site_width
+          ~anchor:d.Die.outline.Tdf_geometry.Rect.x ~lo:s.Rowspace.lo
+          ~hi:s.Rowspace.hi;
+        for i = 0 to Place_row.length row - 1 do
+          let c = Place_row.cell row i in
+          p.Placement.x.(c) <- Place_row.placed_x row i;
+          p.Placement.y.(c) <- s.Rowspace.y;
+          p.Placement.die.(c) <- s.Rowspace.die
+        done
       end);
   p

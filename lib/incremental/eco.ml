@@ -184,18 +184,13 @@ let run_cached ?(cfg = default_cfg) ~cache design prev delta =
       Flow3d.flow_bin_width design ~factor:cfg.flow.Config.bin_width_factor
     in
     let grid = grid_for ~cache ~p design bin_width in
-    let n_cells = Placement.n_cells base in
-    let targets =
-      Array.init n_cells (fun c ->
-          (base.Placement.x.(c), base.Placement.y.(c), base.Placement.die.(c)))
-    in
     let ws = cache.ws in
     let widenings = ref 0 in
     let rec attempt radius tries =
       if tries > cfg.max_widenings then fallback ()
       else begin
         match
-          Tdf_telemetry.span "eco.reset_to" (fun () -> Grid.reset_to grid targets)
+          Tdf_telemetry.span "eco.reset_to" (fun () -> Grid.reset_to grid base)
         with
         | Error pe -> Error (Unplaceable pe)
         | Ok () ->

@@ -226,12 +226,17 @@ let render ?terminal (d : Design.t) =
       Hashtbl.replace pairs (c.Cell.widths.(0), c.Cell.widths.(1)) ())
     d.Design.cells;
   let pair_list = Hashtbl.fold (fun k () acc -> k :: acc) pairs [] |> List.sort compare in
-  let lib_name (w0, w1) = "C" ^ string_of_int w0 ^ "_" ^ string_of_int w1 in
-  let macro_name i = "MacroLib" ^ string_of_int i in
   let b = Buffer.create (96 * (Design.n_cells d + Array.length d.Design.nets + 16)) in
   let str = Buffer.add_string b and nl () = Buffer.add_char b '\n' in
   let word s = Buffer.add_char b ' '; str s in
-  let int v = word (string_of_int v) in
+  let lib_name (w0, w1) =
+    str " C";
+    Tdf_util.Decimal.add_int b w0;
+    Buffer.add_char b '_';
+    Tdf_util.Decimal.add_int b w1
+  in
+  let macro_name i = str " MacroLib"; Tdf_util.Decimal.add_int b i in
+  let int v = Buffer.add_char b ' '; Tdf_util.Decimal.add_int b v in
   let line kw ints = str kw; List.iter int ints; nl () in
   line "NumTechnologies" [ 2 ];
   let emit_tech name die_idx h_r =
@@ -243,7 +248,7 @@ let render ?terminal (d : Design.t) =
     List.iter
       (fun (w0, w1) ->
         str "LibCell";
-        word (lib_name (w0, w1));
+        lib_name (w0, w1);
         int (if die_idx = 0 then w0 else w1);
         int h_r;
         nl ())
@@ -251,7 +256,7 @@ let render ?terminal (d : Design.t) =
     Array.iteri
       (fun i (m : Blockage.t) ->
         str "LibCell";
-        word (macro_name i);
+        macro_name i;
         int m.Blockage.rect.Rect.w;
         int m.Blockage.rect.Rect.h;
         nl ())
@@ -278,7 +283,7 @@ let render ?terminal (d : Design.t) =
     (fun (c : Cell.t) ->
       str "Inst";
       word c.Cell.name;
-      word (lib_name (c.Cell.widths.(0), c.Cell.widths.(1)));
+      lib_name (c.Cell.widths.(0), c.Cell.widths.(1));
       nl ())
     d.Design.cells;
   line "NumNets" [ Array.length d.Design.nets ];
@@ -293,7 +298,7 @@ let render ?terminal (d : Design.t) =
           str "Pin";
           word (Design.cell d pin).Cell.name;
           str "/P";
-          str (string_of_int i);
+          Tdf_util.Decimal.add_int b i;
           nl ())
         n.Net.pins)
     d.Design.nets;
@@ -311,7 +316,7 @@ let render ?terminal (d : Design.t) =
     (fun i (m : Blockage.t) ->
       str "FixedInst";
       word m.Blockage.name;
-      word (macro_name i);
+      macro_name i;
       word (if m.Blockage.die = 1 then "Top" else "Bottom");
       int m.Blockage.rect.Rect.x;
       int m.Blockage.rect.Rect.y;

@@ -187,7 +187,7 @@ let read text =
 let render (t : t) =
   let b = Buffer.create (64 * (List.length t.sites + List.length t.macros + 1)) in
   let str = Buffer.add_string b and nl () = Buffer.add_char b '\n' in
-  let int v = Buffer.add_char b ' '; str (string_of_int v) in
+  let int v = Buffer.add_char b ' '; Tdf_util.Decimal.add_int b v in
   let body name cls w h =
     str name;
     str "\n  CLASS ";

@@ -21,13 +21,13 @@ module Placement = Tdf_netlist.Placement
 
 open Lines
 
-(* Writers render into one buffer, floats through the shared exact
-   "%.6f" formatter. *)
+(* Writers render into one buffer, integers and floats through the shared
+   decimal formatters (floats as an exact "%.6f"). *)
 let render_design (d : Design.t) =
   let b = Buffer.create (64 * (Design.n_cells d + Array.length d.Design.nets + 8)) in
   let str = Buffer.add_string b and nl () = Buffer.add_char b '\n' in
   let word s = Buffer.add_char b ' '; str s in
-  let int v = word (string_of_int v) in
+  let int v = Buffer.add_char b ' '; Tdf_util.Decimal.add_int b v in
   let flt v = Buffer.add_char b ' '; Tdf_util.Decimal.add_fixed6 b v in
   str "design";
   word d.Design.name;
@@ -140,7 +140,7 @@ let read_design text =
 let render_placement (p : Placement.t) =
   let n = Placement.n_cells p in
   let b = Buffer.create (32 * n) in
-  let int v = Buffer.add_char b ' '; Buffer.add_string b (string_of_int v) in
+  let int v = Buffer.add_char b ' '; Tdf_util.Decimal.add_int b v in
   for c = 0 to n - 1 do
     Buffer.add_string b "place";
     int c;

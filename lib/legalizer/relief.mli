@@ -20,7 +20,8 @@ val relieve :
 (** Move the cheapest movable cell of [src] into the nearest bin whose
     demand covers the cell's width (respecting the D2D configuration and
     die utilization caps, {!Grid.util_ok}).  The cost is
-    {!Grid.est_disp}; ties go to the earliest fragment of [src.frags],
+    {!Grid.est_disp}; ties go to the earliest fragment of [src]'s list
+    ({!Grid.first_in_bin}),
     then to the lowest bin id.  Rows are visited outward from the cell's
     nearest row, and the bins of each row segment outward from the one
     holding the cell's initial x; a direction stops once its distance

@@ -155,7 +155,11 @@ let trace () = { tr_moves = []; tr_spans = [] }
 
 let trace_probe grid tr ~edge ~cell ~rho =
   tr.tr_moves <- (edge, cell, Int64.bits_of_float rho) :: tr.tr_moves;
-  tr.tr_spans <- List.rev_append (Grid.cell_bins grid cell) tr.tr_spans
+  let f = ref (Grid.first_of_cell grid cell) in
+  while !f >= 0 do
+    tr.tr_spans <- Grid.frag_bin grid !f :: tr.tr_spans;
+    f := Grid.next_of_cell grid !f
+  done
 
 let trace_moves tr = Array.of_list (List.rev tr.tr_moves)
 

@@ -6,6 +6,7 @@ module Cell = Tdf_netlist.Cell
 module Blockage = Tdf_netlist.Blockage
 module Net = Tdf_netlist.Net
 module Design = Tdf_netlist.Design
+module Prng = Tdf_util.Prng
 
 (* Two dies of 100x40, row height 10 on both (4 rows each), site width 1. *)
 let two_dies ?(row_height_top = 10) ?(w = 100) ?(h = 40) () =
@@ -70,3 +71,50 @@ let random ?(n = 60) ?(with_macros = false) seed =
         Net.make ~id ~pins:[| a; (if b = a then (a + 1) mod n else b) |] ())
   in
   Design.make ~name:(Printf.sprintf "random%d" seed) ~dies ~cells ~macros ~nets ()
+
+(* Per-cell [(x, y, die)] targets as the placement [Grid.reset_to] takes. *)
+let targets (ts : (int * int * int) array) =
+  {
+    Tdf_netlist.Placement.x = Array.map (fun (x, _, _) -> x) ts;
+    y = Array.map (fun (_, y, _) -> y) ts;
+    die = Array.map (fun (_, _, d) -> d) ts;
+  }
+
+(* Two or three dies of one width, each with its own row height and row
+   count, up to two macros per die in disjoint x bands (so some rows are
+   split into short segments), per-die cell widths, and now and then a
+   cell wider than the die, which no segment holds whole. *)
+let diff_design rng =
+  let nd = Prng.int_in rng 2 3 in
+  let w = Prng.int_in rng 30 120 in
+  let dies =
+    Array.init nd (fun index ->
+        let row_height = Prng.choose rng [| 8; 10 |] in
+        let h = row_height * Prng.int_in rng 2 5 in
+        Die.make ~index ~outline:(Rect.make ~x:0 ~y:0 ~w ~h) ~row_height ())
+  in
+  let macros = ref [] in
+  Array.iteri
+    (fun d (die : Die.t) ->
+      let h = die.Die.outline.Rect.h and band = w / 2 in
+      for i = 0 to Prng.int rng 3 - 1 do
+        let mw = Prng.int_in rng 1 (band / 2) and mh = Prng.int_in rng 1 h in
+        let x = (i * band) + Prng.int rng (band - mw) in
+        let y = Prng.int rng (h - mh + 1) in
+        macros :=
+          Blockage.make ~id:(List.length !macros) ~die:d
+            ~rect:(Rect.make ~x ~y ~w:mw ~h:mh) ()
+          :: !macros
+      done)
+    dies;
+  let cells =
+    Array.init (Prng.int_in rng 5 40) (fun id ->
+        let widths =
+          Array.init nd (fun _ ->
+              if Prng.int rng 12 = 0 then Prng.int_in rng 1 (w + 10)
+              else Prng.int_in rng 1 8)
+        in
+        Cell.make ~id ~widths ~gp_x:(Prng.int rng w) ~gp_y:(Prng.int rng 50)
+          ~gp_z:(Prng.float rng 1.0) ())
+  in
+  Design.make ~name:"diff" ~dies ~cells ~macros:(Array.of_list (List.rev !macros)) ()

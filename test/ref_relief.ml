@@ -1,7 +1,8 @@
 (* Reference relief for the differential tests: a verbatim copy of the
    original O(fragments × bins) scan of [Tdf_legalizer.Relief.relieve],
    kept only under test/ so the pruned scan can be checked for the
-   exact same (cell, bin) pick.  Telemetry is stripped; the scan, its
+   exact same (cell, bin) pick.  Telemetry is stripped, and the bin's
+   fragments are read as a list through the grid's cursors; the scan, its
    utilization check and its tie-break (first strict minimum in fragment
    order, then bin id order) are untouched. *)
 
@@ -23,8 +24,8 @@ let relieve ?mask cfg grid ~src =
   let allowed bid = match mask with None -> true | Some m -> m.(bid) in
   let best = ref None in
   List.iter
-    (fun (f : Grid.frag) ->
-      let c = Design.cell design f.Grid.cell in
+    (fun (f_cell, _) ->
+      let c = Design.cell design f_cell in
       Array.iter
         (fun (b : Grid.bin) ->
           if b.Grid.id <> src.Grid.id && allowed b.Grid.id then begin
@@ -34,14 +35,14 @@ let relieve ?mask cfg grid ~src =
               || (cfg.Config.d2d_edges && util_ok cfg grid b w)
             in
             if die_ok && Grid.demand b >= w then begin
-              let cost = Grid.est_disp grid ~cell:f.Grid.cell b in
+              let cost = Grid.est_disp grid ~cell:f_cell b in
               match !best with
               | Some (bcost, _, _) when bcost <= cost -> ()
-              | _ -> best := Some (cost, f.Grid.cell, b)
+              | _ -> best := Some (cost, f_cell, b)
             end
           end)
         grid.Grid.bins)
-    src.Grid.frags;
+    (Ref_grid.bin_frags grid src.Grid.id);
   match !best with
   | Some (_, cell, b) ->
     Grid.move_whole grid ~cell ~dst:b;

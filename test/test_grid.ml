@@ -129,7 +129,7 @@ let test_fractional_assignment_spans_bins () =
   let g = G.build d ~bin_width:5 in
   (* width-6 cell at x=48 must span two 5-wide bins *)
   G.place_cell_exn g ~cell:0 ~die:0 ~x:48 ~y:11;
-  let frags = g.G.cell_frags.(0) in
+  let frags = Ref_grid.cell_frags g 0 in
   Alcotest.(check bool) "at least 2 fragments" true (List.length frags >= 2);
   let total = List.fold_left (fun acc (_, r) -> acc +. r) 0. frags in
   Alcotest.(check (float 1e-9)) "fractions sum to 1" 1.0 total
@@ -262,7 +262,7 @@ let prop_reset_to_roundtrip =
       in
       let g = G.build d ~bin_width in
       G.assign_initial_exn g (Placement.initial d);
-      match G.reset_to g targets with
+      match G.reset_to g (Fixtures.targets targets) with
       | Error _ -> not fresh_ok
       | Ok () ->
         fresh_ok
@@ -270,8 +270,7 @@ let prop_reset_to_roundtrip =
         && Array.for_all2
              (fun (a : G.bin) (b : G.bin) ->
                a.G.used = b.G.used
-               && List.map (fun (f : G.frag) -> (f.G.cell, f.G.rho)) a.G.frags
-                  = List.map (fun (f : G.frag) -> (f.G.cell, f.G.rho)) b.G.frags)
+               && Ref_grid.bin_frags fresh a.G.id = Ref_grid.bin_frags g b.G.id)
              fresh.G.bins g.G.bins)
 
 (* ---- bin-search assignment against the full-segment walk ---------- *)
@@ -282,44 +281,7 @@ module Die = Tdf_netlist.Die
 module Cell = Tdf_netlist.Cell
 module Blockage = Tdf_netlist.Blockage
 
-(* Two or three dies of one width, each with its own row height and row
-   count, up to two macros per die in disjoint x bands (so some rows are
-   split into short segments), per-die cell widths, and now and then a
-   cell wider than the die, which no segment holds whole. *)
-let diff_design rng =
-  let nd = Prng.int_in rng 2 3 in
-  let w = Prng.int_in rng 30 120 in
-  let dies =
-    Array.init nd (fun index ->
-        let row_height = Prng.choose rng [| 8; 10 |] in
-        let h = row_height * Prng.int_in rng 2 5 in
-        Die.make ~index ~outline:(Rect.make ~x:0 ~y:0 ~w ~h) ~row_height ())
-  in
-  let macros = ref [] in
-  Array.iteri
-    (fun d (die : Die.t) ->
-      let h = die.Die.outline.Rect.h and band = w / 2 in
-      for i = 0 to Prng.int rng 3 - 1 do
-        let mw = Prng.int_in rng 1 (band / 2) and mh = Prng.int_in rng 1 h in
-        let x = (i * band) + Prng.int rng (band - mw) in
-        let y = Prng.int rng (h - mh + 1) in
-        macros :=
-          Blockage.make ~id:(List.length !macros) ~die:d
-            ~rect:(Rect.make ~x ~y ~w:mw ~h:mh) ()
-          :: !macros
-      done)
-    dies;
-  let cells =
-    Array.init (Prng.int_in rng 5 40) (fun id ->
-        let widths =
-          Array.init nd (fun _ ->
-              if Prng.int rng 12 = 0 then Prng.int_in rng 1 (w + 10)
-              else Prng.int_in rng 1 8)
-        in
-        Cell.make ~id ~widths ~gp_x:(Prng.int rng w) ~gp_y:(Prng.int rng 50)
-          ~gp_z:(Prng.float rng 1.0) ())
-  in
-  Design.make ~name:"diff" ~dies ~cells ~macros:(Array.of_list (List.rev !macros)) ()
+let diff_design = Fixtures.diff_design
 
 (* A target: anywhere around the die (outside it too), or with x on a
    bin's left or right edge, or with the cell's right end on one. *)
@@ -340,7 +302,7 @@ let bits = Int64.bits_of_float
 
 (* Stamps relabelled by first occurrence: two grids agree when the same
    bins share a stamp. *)
-let stamp_classes (g : G.t) =
+let stamp_classes stamp =
   let first = Hashtbl.create 64 in
   Array.mapi
     (fun i s ->
@@ -349,34 +311,46 @@ let stamp_classes (g : G.t) =
       | None ->
         Hashtbl.add first s i;
         i)
-    g.G.stamp
+    stamp
 
-(* Fragments in order with the bits of every rho, [used], [die_used],
-   [cell_frags], [cell_seg], the D_c(u) cache, and the stamp classes. *)
-let same_assignment (g : G.t) (r : G.t) =
-  let frag_bits (f : G.frag) = (f.G.cell, bits f.G.rho) in
-  let pair_bits (bid, rho) = (bid, bits rho) in
+(* The grid against its list model: every bin's fragments in order with
+   the bits of every rho, [used], [die_used], every cell's list in order,
+   [cell_seg], the D_c(u) cache, and the stamp classes. *)
+let same_assignment (g : G.t) (m : Ref_grid.t) =
+  let frag_bits (c, rho) = (c, bits rho) in
+  let ref_frag_bits (f : Ref_grid.frag) = (f.Ref_grid.cell, bits f.Ref_grid.rho) in
   Array.for_all2
-    (fun (a : G.bin) (b : G.bin) ->
-      List.map frag_bits a.G.frags = List.map frag_bits b.G.frags
-      && bits a.G.used = bits b.G.used)
-    g.G.bins r.G.bins
-  && Array.map bits g.G.die_used = Array.map bits r.G.die_used
-  && Array.map (List.map pair_bits) g.G.cell_frags
-     = Array.map (List.map pair_bits) r.G.cell_frags
-  && g.G.cell_seg = r.G.cell_seg
-  && g.G.cell_disp = r.G.cell_disp
-  && stamp_classes g = stamp_classes r
+    (fun (a : G.bin) (b : Ref_grid.bin) ->
+      List.map frag_bits (Ref_grid.bin_frags g a.G.id)
+      = List.map ref_frag_bits b.Ref_grid.frags
+      && bits a.G.used = bits b.Ref_grid.used)
+    g.G.bins m.Ref_grid.bins
+  && Array.map bits g.G.die_used = Array.map bits m.Ref_grid.die_used
+  && Array.init (Array.length g.G.cell_seg) (fun c ->
+         List.map frag_bits (Ref_grid.cell_frags g c))
+     = Array.map (List.map frag_bits) m.Ref_grid.cell_frags
+  && g.G.cell_seg = m.Ref_grid.cell_seg
+  && g.G.cell_disp = m.Ref_grid.cell_disp
+  && stamp_classes g.G.stamp = stamp_classes m.Ref_grid.stamp
 
-(* The same operation on a grid and on its reference twin: the results,
-   the assignments and the set of restamped bins must agree. *)
-let same_step (g : G.t) (r : G.t) f_g f_r =
-  let sg = Array.copy g.G.stamp and sr = Array.copy r.G.stamp in
-  let res_g = f_g g and res_r = f_r r in
-  res_g = res_r
-  && same_assignment g r
-  && Array.map2 ( <> ) sg g.G.stamp = Array.map2 ( <> ) sr r.G.stamp
+(* The same operation on a grid and on its model: the results, the
+   assignments and the set of restamped bins must agree. *)
+let same_step (g : G.t) (m : Ref_grid.t) f_g f_m =
+  let sg = Array.copy g.G.stamp and sm = Array.copy m.Ref_grid.stamp in
+  let res_g = f_g g and res_m = f_m m in
+  res_g = res_m
+  && same_assignment g m
+  && Array.map2 ( <> ) sg g.G.stamp = Array.map2 ( <> ) sm m.Ref_grid.stamp
   && G.check_invariants g = Ok ()
+
+(* Every cell's D_c(u), read through both caches: equal values, and equal
+   caches afterwards. *)
+let same_cur_disp (g : G.t) (m : Ref_grid.t) =
+  let n = Array.length g.G.cell_seg in
+  List.for_all
+    (fun c -> G.cur_disp g c = Ref_grid.cur_disp m c)
+    (List.init n Fun.id)
+  && g.G.cell_disp = m.Ref_grid.cell_disp
 
 let prop_assignment_matches_reference =
   Props.test "assignment equals the full-segment walk" ~count:150
@@ -385,35 +359,173 @@ let prop_assignment_matches_reference =
       let rng = Prng.create seed in
       let d = diff_design rng in
       let n = Design.n_cells d in
-      let g = G.build d ~bin_width and r = G.build d ~bin_width in
+      let g = G.build d ~bin_width in
+      let m = Ref_grid.create g in
       let init = Placement.initial d in
-      let targets () = Array.init n (fun cell -> diff_target rng g ~cell) in
+      let targets () =
+        Fixtures.targets (Array.init n (fun cell -> diff_target rng g ~cell))
+      in
       let ok =
         ref
-          (same_step g r
+          (same_step g m
              (fun g -> G.assign_initial g init)
-             (fun r -> Ref_grid.assign_initial r init))
+             (fun m -> Ref_grid.assign_initial m init))
       in
       for _ = 1 to 3 do
         if !ok then begin
           let tg = targets () in
           ok :=
-            same_step g r (fun g -> G.reset_to g tg) (fun r -> Ref_grid.reset_to r tg);
+            same_step g m (fun g -> G.reset_to g tg) (fun m -> Ref_grid.reset_to m tg);
           (* re-place a few cells, each removed first *)
           for _ = 1 to 10 do
             if !ok then begin
               let cell = Prng.int rng n in
               let x, y, die = diff_target rng g ~cell in
-              let place place t =
-                G.remove_cell t ~cell;
-                place t ~cell ~die ~x ~y
-              in
-              ok := same_step g r (place G.place_cell) (place Ref_grid.place_cell)
+              ok :=
+                same_step g m
+                  (fun g ->
+                    G.remove_cell g ~cell;
+                    G.place_cell g ~cell ~die ~x ~y)
+                  (fun m ->
+                    Ref_grid.remove_cell m ~cell;
+                    Ref_grid.place_cell m ~cell ~die ~x ~y)
             end
           done
         end
       done;
       !ok)
+
+(* The design with every cell's anchor, widths and weight redrawn: what
+   [Grid.rebind] takes (same dies, macros and cell count). *)
+let redrawn rng (d : Design.t) =
+  let nd = Design.n_dies d in
+  let w = (Design.die d 0).Die.outline.Rect.w in
+  let cells =
+    Array.map
+      (fun (c : Cell.t) ->
+        let widths =
+          Array.init nd (fun _ ->
+              if Prng.int rng 12 = 0 then Prng.int_in rng 1 (w + 10)
+              else Prng.int_in rng 1 8)
+        in
+        Cell.make ~id:c.Cell.id ~widths ~gp_x:(Prng.int rng w)
+          ~gp_y:(Prng.int rng 50) ~gp_z:c.Cell.gp_z ())
+      d.Design.cells
+  in
+  Design.make ~name:d.Design.name ~dies:d.Design.dies ~cells ~macros:d.Design.macros ()
+
+(* One random operation on a grid and its model, or [None] when the pick
+   does not apply (an unassigned cell, a one-bin segment). *)
+let random_op rng (g : G.t) n =
+  let cell = Prng.int rng n in
+  match Prng.int rng 12 with
+  | 0 | 1 | 2 ->
+    let sid = G.segment_of_cell g cell in
+    if sid < 0 then None
+    else begin
+      let bins = g.G.segments.(sid).G.s_bins in
+      let nb = Array.length bins in
+      if nb < 2 then None
+      else begin
+        let i = Prng.int rng (nb - 1) in
+        let a, b = if Prng.bool rng then (i, i + 1) else (i + 1, i) in
+        let src = bins.(a) and dst = bins.(b) in
+        let rho =
+          match Prng.int rng 3 with
+          | 0 -> 1.0
+          | 1 -> Prng.float rng 0.2
+          | _ -> Prng.float rng 1.0
+        in
+        Some
+          ( (fun g ->
+              G.move_fraction g ~cell ~src:g.G.bins.(src) ~dst:g.G.bins.(dst) ~rho),
+            fun m -> Ref_grid.move_fraction m ~cell ~src ~dst ~rho )
+      end
+    end
+  | 3 | 4 ->
+    let dst = Prng.int rng (G.n_bins g) in
+    Some
+      ( (fun g -> G.move_whole g ~cell ~dst:g.G.bins.(dst)),
+        fun m -> Ref_grid.move_whole m ~cell ~dst )
+  | 5 | 6 ->
+    let x, y, die = diff_target rng g ~cell in
+    Some
+      ( (fun g ->
+          G.remove_cell g ~cell;
+          ignore (G.place_cell g ~cell ~die ~x ~y)),
+        fun m ->
+          Ref_grid.remove_cell m ~cell;
+          ignore (Ref_grid.place_cell m ~cell ~die ~x ~y) )
+  | 7 | 8 -> Some ((fun g -> G.remove_cell g ~cell), fun m -> Ref_grid.remove_cell m ~cell)
+  | 9 -> Some (G.reset, Ref_grid.reset)
+  | _ ->
+    let tg = Fixtures.targets (Array.init n (fun cell -> diff_target rng g ~cell)) in
+    Some
+      ( (fun g -> ignore (G.reset_to g tg)),
+        fun m -> ignore (Ref_grid.reset_to m tg) )
+
+(* The arena against the list model over random operation sequences:
+   fractional and whole moves, removals, re-placements, resets, rebinds
+   and clones, on two or three dies with macros and cells too wide for
+   any segment.  After every step the fragment lists (order and rho
+   bits), [used], [die_used], the D_c(u) cache and the restamped bins
+   agree; a clone and its original evolve apart and each keeps agreeing
+   with its own model. *)
+let prop_arena_matches_model =
+  Props.test "fragment arena equals the list model" ~count:150
+    Props.(pair (int_range 0 1_000_000) (int_range 3 30))
+    (fun (seed, bin_width) ->
+      let rng = Prng.create seed in
+      let d = diff_design rng in
+      let n = Design.n_cells d in
+      let g = G.build d ~bin_width in
+      let m = Ref_grid.create g in
+      let init = Placement.initial d in
+      let pairs =
+        ref
+          [
+            ( g,
+              m,
+              same_step g m
+                (fun g -> ignore (G.assign_initial g init))
+                (fun m -> ignore (Ref_grid.assign_initial m init)) );
+          ]
+      in
+      let ok () = List.for_all (fun (_, _, ok) -> ok) !pairs in
+      for _ = 1 to 60 do
+        if ok () then begin
+          let i = Prng.int rng (List.length !pairs) in
+          let g, m, _ = List.nth !pairs i in
+          let step =
+            match Prng.int rng 20 with
+            | 0 when List.length !pairs < 4 ->
+              let g' = G.clone g and m' = Ref_grid.clone m in
+              pairs := !pairs @ [ (g', m', same_assignment g' m') ];
+              true
+            | 1 ->
+              (* as an ECO reuses a grid: rebind, then refill *)
+              let d' = redrawn rng g.G.design in
+              let tg =
+                Fixtures.targets (Array.init n (fun cell -> diff_target rng g ~cell))
+              in
+              same_step g m
+                (fun g ->
+                  G.rebind g d';
+                  G.reset_to g tg)
+                (fun m ->
+                  Ref_grid.rebind m d';
+                  Ref_grid.reset_to m tg)
+            | 2 -> same_cur_disp g m
+            | _ -> (
+              match random_op rng g n with
+              | None -> true
+              | Some (f_g, f_m) -> same_step g m f_g f_m)
+          in
+          pairs :=
+            List.mapi (fun j ((g, m, ok) as p) -> if j = i then (g, m, ok && step) else p) !pairs
+        end
+      done;
+      ok () && List.for_all (fun (g, m, _) -> same_assignment g m && same_cur_disp g m) !pairs)
 
 let suite =
   [
@@ -434,4 +546,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;
     prop_reset_to_roundtrip;
     prop_assignment_matches_reference;
+    prop_arena_matches_model;
   ]

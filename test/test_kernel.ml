@@ -31,7 +31,7 @@ module Prng = Tdf_util.Prng
 (* D_c(u) straight from the fragment list, written independently of the
    grid's own computation. *)
 let ref_cur_disp g cell =
-  match g.G.cell_frags.(cell) with
+  match Ref_grid.cell_frags g cell with
   | [] -> 0
   | frags ->
     let c = Design.cell g.G.design cell in
@@ -91,7 +91,7 @@ let mutate rng g ~cell k =
     let targets =
       Array.init n (fun _ -> (Prng.int rng 120, Prng.int rng 50, Prng.int rng 2))
     in
-    ignore (G.reset_to g targets)
+    ignore (G.reset_to g (Fixtures.targets targets))
 
 let prop_cache_coherent =
   Props.test "D_c(u) cache coherent under mutations and clones" ~count:60
@@ -148,7 +148,8 @@ let test_shared_state_across_clones () =
       let targets =
         Array.init n (fun _ -> (Prng.int rng 120, Prng.int rng 50, Prng.int rng 2))
       in
-      if G.reset_to c targets <> Ok () then Alcotest.fail "reset_to failed";
+      if G.reset_to c (Fixtures.targets targets) <> Ok () then
+        Alcotest.fail "reset_to failed";
       c
     in
     let a = diverged () in
@@ -193,8 +194,8 @@ let grid_of design ~bin_width =
    edge into [b]). *)
 let pricing_inputs g (b : G.bin) =
   ( List.map
-      (fun (f : G.frag) -> (f.G.cell, f.G.rho, ref_cur_disp g f.G.cell))
-      b.G.frags,
+      (fun (cell, rho) -> (cell, rho, ref_cur_disp g cell))
+      (Ref_grid.bin_frags g b.G.id),
     b.G.used )
 
 (* A mutation that changes a bin's pricing inputs must restamp it, on
@@ -257,7 +258,7 @@ let cost_only_matches cache cfg g ~(src : G.bin) ~edge ~need s want =
 
 (* [Select.price] against [Select.unit_cost], candidate by candidate. *)
 let price_matches cfg g ~(src : G.bin) ~dst ~kind =
-  let cells = Array.of_list (List.map (fun (f : G.frag) -> f.G.cell) src.G.frags) in
+  let cells = Array.of_list (List.map fst (Ref_grid.bin_frags g src.G.id)) in
   let n = Array.length cells in
   let uc = Array.make n Float.nan in
   L.Select.price cfg g cells ~n ~dst ~kind uc;
@@ -338,7 +339,7 @@ let test_select_large_bin () =
   in
   let g = grid_of (Design.make ~name:"pile" ~dies ~cells ()) ~bin_width:200 in
   let src = g.G.bins.(0) in
-  Alcotest.(check bool) "over 256 candidates" true (List.length src.G.frags > 256);
+  Alcotest.(check bool) "over 256 candidates" true (G.n_frags g src.G.id > 256);
   let cache = L.Select.create_cache g in
   let s = L.Select.sums () in
   let cfg = Config.default in
@@ -362,13 +363,12 @@ let test_select_large_bin () =
    [skips]/[runs] the steps whose search the skip would leave out or
    keep. *)
 let ref_whole_cell cfg g ~(src : G.bin) ~dst ~kind ~need ~skips ~runs =
-  let frags = Array.of_list src.G.frags in
+  let frags = Array.of_list (Ref_grid.bin_frags g src.G.id) in
   let n = Array.length frags in
-  let cell = Array.map (fun (f : G.frag) -> f.G.cell) frags in
+  let cell = Array.map fst frags in
   let held =
     Array.map
-      (fun (f : G.frag) ->
-        f.G.rho *. float_of_int (G.cell_width g ~cell:f.G.cell ~die:src.G.die))
+      (fun (c, rho) -> rho *. float_of_int (G.cell_width g ~cell:c ~die:src.G.die))
       frags
   in
   let uc = Array.make n 0. and order = Array.make n 0 in
@@ -557,8 +557,8 @@ let prop_relief_matches_reference =
              at its cap for that cell's width *)
           let g = grid_of design ~bin_width in
           match hottest g with
-          | Some src when src.G.frags <> [] ->
-            let cell = (List.hd src.G.frags).G.cell in
+          | Some src when G.n_frags g src.G.id > 0 ->
+            let cell = G.frag_cell g (G.first_in_bin g src.G.id) in
             let d = 1 - src.G.die in
             let w = float_of_int (Cell.width_on (Design.cell design cell) d) in
             at_boundary design ~bin_width ~d ~w

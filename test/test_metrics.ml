@@ -131,6 +131,114 @@ let test_legality_site_misalignment () =
   p.Placement.x.(0) <- 8;
   Alcotest.(check int) "aligned ok" 0 (Legality.check d p).Legality.n_violations
 
+(* ---- the audit against its original ------------------------------ *)
+
+module Prng = Tdf_util.Prng
+module Rect = Tdf_geometry.Rect
+module Die = Tdf_netlist.Die
+module Cell = Tdf_netlist.Cell
+module Blockage = Tdf_netlist.Blockage
+
+(* One to three dies with their own origin, row height, row count and
+   site width; up to five macros per die anywhere around it, overlapping
+   each other or sticking out of the die; cells of up to the die's width
+   and more. *)
+let audit_design rng =
+  let nd = Prng.int_in rng 1 3 in
+  let dies =
+    Array.init nd (fun index ->
+        let row_height = Prng.int_in rng 5 10 in
+        let h = row_height * Prng.int_in rng 1 6 in
+        let outline =
+          Rect.make ~x:(Prng.int_in rng (-20) 20) ~y:(Prng.int_in rng (-20) 20)
+            ~w:(Prng.int_in rng 20 120) ~h
+        in
+        Die.make ~index ~outline ~row_height ~site_width:(Prng.int_in rng 1 3) ())
+  in
+  let macros = ref [] in
+  Array.iteri
+    (fun d (die : Die.t) ->
+      let o = die.Die.outline in
+      for _ = 1 to Prng.int rng 6 do
+        let w = Prng.int_in rng 1 (o.Rect.w / 2) and h = Prng.int_in rng 1 o.Rect.h in
+        let x = o.Rect.x + Prng.int_in rng (-10) (o.Rect.w + 10 - w) in
+        let y = o.Rect.y + Prng.int_in rng (-5) (o.Rect.h + 5 - h) in
+        macros :=
+          Blockage.make ~id:(List.length !macros) ~die:d ~rect:(Rect.make ~x ~y ~w ~h) ()
+          :: !macros
+      done)
+    dies;
+  let cells =
+    Array.init (Prng.int_in rng 1 60) (fun id ->
+        let widths =
+          Array.init nd (fun d ->
+              if Prng.int rng 15 = 0 then Prng.int_in rng 1 150
+              else Prng.int_in rng 1 (4 * dies.(d).Die.site_width))
+        in
+        Cell.make ~id ~widths ~gp_x:0 ~gp_y:0 ~gp_z:0. ())
+  in
+  Design.make ~name:"audit" ~dies ~cells ~macros:(Array.of_list (List.rev !macros)) ()
+
+(* Mostly cells on rows and sites, their x drawn from a few values per
+   die so that cells pile up and tie; some anywhere, on no row or on no
+   die. *)
+let audit_placement rng (d : Design.t) =
+  let n = Design.n_cells d and nd = Design.n_dies d in
+  let p = Placement.initial d in
+  let spots = Array.init nd (fun _ -> Array.init 4 (fun _ -> Prng.int rng 120)) in
+  for c = 0 to n - 1 do
+    let die = Prng.int rng nd in
+    let dd = Design.die d die in
+    let o = dd.Die.outline in
+    let row = Prng.int_in rng (-1) (Die.num_rows dd) in
+    let on_site x = o.Rect.x + ((x - o.Rect.x) / dd.Die.site_width * dd.Die.site_width) in
+    let x, y, die =
+      match Prng.int rng 10 with
+      | 0 -> (Prng.int rng 150, Prng.int rng 60, if Prng.bool rng then -1 else nd)
+      | 1 | 2 -> (o.Rect.x + Prng.int_in rng (-10) 130, o.Rect.y + Prng.int rng 60, die)
+      | _ ->
+        ( on_site (o.Rect.x + Prng.choose rng spots.(die)),
+          o.Rect.y + (row * dd.Die.row_height),
+          die )
+    in
+    p.Placement.x.(c) <- x;
+    p.Placement.y.(c) <- y;
+    p.Placement.die.(c) <- die
+  done;
+  p
+
+let prop_row_segments_match_grid =
+  Props.test "audit row segments equal Grid.segments_of_row" ~count:300
+    Props.(int_range 0 1_000_000)
+    (fun seed ->
+      let d = audit_design (Prng.create seed) in
+      List.for_all
+        (fun die ->
+          List.for_all
+            (fun row ->
+              Legality.row_segments d die row
+              = Tdf_grid.Grid.segments_of_row d die row)
+            (List.init (Die.num_rows (Design.die d die)) Fun.id))
+        (List.init (Design.n_dies d) Fun.id))
+
+(* The same count and overlap area on every input, and the same messages
+   whenever all of them are kept (at most 20; the overlap ones now come
+   row by row rather than in hash order, so a cut list may keep
+   others). *)
+let prop_audit_matches_reference =
+  Props.test "legality audit equals the original" ~count:300
+    Props.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let d = audit_design rng in
+      let p = audit_placement rng d in
+      let a = Legality.check d p and r = Ref_legality.check d p in
+      a.Legality.n_violations = r.Legality.n_violations
+      && a.Legality.overlap_area = r.Legality.overlap_area
+      && (r.Legality.n_violations > 20
+         || List.sort compare a.Legality.messages
+            = List.sort compare r.Legality.messages))
+
 let suite =
   [
     Alcotest.test_case "displacement summary" `Quick test_displacement_summary;
@@ -148,4 +256,6 @@ let suite =
     Alcotest.test_case "legality bad die" `Quick test_legality_detects_bad_die;
     Alcotest.test_case "legality site misalignment" `Quick
       test_legality_site_misalignment;
+    prop_row_segments_match_grid;
+    prop_audit_matches_reference;
   ]

@@ -87,7 +87,7 @@ let test_masked_pass_freezes_outside =
       let g = small_grid () in
       let n = G.n_bins g in
       let mask = G.dirty_region g ~seeds:[ seed mod n ] ~radius:6 in
-      let n_cells = Array.length g.G.cell_frags in
+      let n_cells = Array.length g.G.cell_seg in
       let frozen =
         List.filter
           (fun c ->
