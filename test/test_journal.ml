@@ -412,29 +412,27 @@ let test_digest_drift_detected () =
 
 (* A fixed load/legalize/eco/evict sequence pins the byte format of every
    wal record (by CRC-32), then recovery must replay all four record kinds
-   to the placement the dead daemon served.  Tiles and jobs are
-   process-wide knobs that requests set, so they are restored after. *)
+   to the placement the dead daemon served.  Jobs is a process-wide knob
+   that requests set, so it is restored after. *)
 let test_journal_format_and_replay () =
   let dir = tmpdir "format" in
   let cfg name =
     { (journaled_cfg name dir) with Server.max_sessions = 1 }
   in
-  let tiles0 = Tdf_legalizer.Tile.tiles () and jobs0 = Tdf_par.jobs () in
+  let jobs0 = Tdf_par.jobs () in
   Fun.protect
-    ~finally:(fun () ->
-      Tdf_legalizer.Tile.set_tiles tiles0;
-      Tdf_par.set_jobs jobs0)
+    ~finally:(fun () -> Tdf_par.set_jobs jobs0)
     (fun () ->
       let server = Server.create (cfg "fmt1") in
       let d, p = fixture 89 in
-      let load session tiles =
+      let load session =
         Server.handle server
           (Protocol.Load_design
              {
                session;
                design = Protocol.Text (Text.design_to_string d);
                placement = Some (Protocol.Text (Text.placement_to_string d p));
-               tiles;
+               tiles = None;
              })
       in
       let legalize session jobs =
@@ -442,7 +440,7 @@ let test_journal_format_and_replay () =
           (Protocol.Legalize
              { session; budget_ms = None; jobs; tiles = None; want_placement = false })
       in
-      let eco session tiles delta =
+      let eco session delta =
         Server.handle server
           (Protocol.Eco
              {
@@ -452,18 +450,18 @@ let test_journal_format_and_replay () =
                max_widenings = None;
                budget_ms = None;
                jobs = None;
-               tiles;
+               tiles = None;
                want_placement = false;
              })
       in
-      expect_ok "load s1" (load "s1" (Some 2));
+      expect_ok "load s1" (load "s1");
       expect_ok "legalize s1" (legalize "s1" (Some 1));
-      expect_ok "eco s1" (eco "s1" None "move 3 10 10 0\n");
-      (match eco "s1" None "move 9999 10 10 0\n" with
+      expect_ok "eco s1" (eco "s1" "move 3 10 10 0\n");
+      (match eco "s1" "move 9999 10 10 0\n" with
       | Error { Protocol.code = "invalid-delta"; _ } -> ()
       | _ -> Alcotest.fail "out-of-range eco was not rejected");
-      expect_ok "load s2 (evicts s1)" (load "s2" None);
-      expect_ok "eco s2" (eco "s2" (Some 1) "move 7 60 20 1\n");
+      expect_ok "load s2 (evicts s1)" (load "s2");
+      expect_ok "eco s2" (eco "s2" "move 7 60 20 1\n");
       expect_ok "legalize s2" (legalize "s2" None);
       let before = placement_text server ~session:"s2" in
       Server.crash server;
@@ -491,7 +489,7 @@ let test_journal_format_and_replay () =
       Alcotest.(check (list string))
         "wal payload CRCs"
         [
-          "ceb6929a"; "bfb0d6ee"; "ec2e99cb"; "909eb4cb"; "cf0e1453"; "4bc44047";
+          "f14df81e"; "b99e62fb"; "dc2dd1bf"; "909eb4cb"; "cf0e1453"; "f5849190";
           "bdc1f135";
         ]
         crcs;
@@ -539,6 +537,56 @@ let test_legacy_snapshot_blob_restores () =
       | None -> Alcotest.fail "no recovery stats");
       check_str "restored placement" (Text.placement_to_string d p)
         (placement_text server ~session:"old"))
+
+(* A load and an eco record as journaled when requests could still name a
+   tile count: both carry "tiles":2.  The payloads are rebuilt field by
+   field and pinned by CRC to the bytes that daemon wrote; recovery must
+   replay them to the digests they record and to the placement it served
+   (pinned by CRC).  The decoder reads past the key. *)
+let test_legacy_tiles_records_recover () =
+  let dir = tmpdir "legacytiles" in
+  let d, p = fixture 101 in
+  let module Json = Tdf_telemetry.Json in
+  let record op fields digest =
+    Json.to_string
+      (Json.Obj
+         ((("op", Json.String op) :: ("session", Json.String "t") :: fields)
+         @ [ ("tiles", Json.Int 2); ("digest", Json.String digest) ]))
+  in
+  let payloads =
+    [
+      record "load"
+        [
+          ("design", Json.String (Text.design_to_string d));
+          ("placement", Json.String (Text.placement_to_string d p));
+        ]
+        "8483ddbc";
+      record "eco"
+        [
+          ("delta", Json.String "move 3 10 10 0\n");
+          ("radius", Json.Int 4);
+          ("max_widenings", Json.Int 3);
+        ]
+        "75c34427";
+    ]
+  in
+  Alcotest.(check (list string))
+    "legacy record CRCs" [ "83888e19"; "4500416a" ]
+    (List.map (fun s -> Crc32.to_hex (Crc32.string s)) payloads);
+  let j, _ = open_exn (Journal.default_cfg ~dir) in
+  List.iter (fun s -> ignore (Journal.append j s)) payloads;
+  Journal.close j;
+  let server = Server.create (journaled_cfg "legacytiles" dir) in
+  Fun.protect
+    ~finally:(fun () -> Server.close server)
+    (fun () ->
+      (match Server.recovery server with
+      | Some r ->
+        check_int "session recovered" 1 r.Server.recovered_sessions;
+        check_int "both records replayed" 2 r.Server.replayed_records
+      | None -> Alcotest.fail "no recovery stats");
+      check_str "recovered placement CRC" "0f0c60cc"
+        (Crc32.to_hex (Crc32.string (placement_text server ~session:"t"))))
 
 (* ---- property fuzzing ------------------------------------------------ *)
 
@@ -637,6 +685,8 @@ let suite =
       `Quick test_journal_format_and_replay;
     Alcotest.test_case "parent-shape snapshot blob restores" `Quick
       test_legacy_snapshot_blob_restores;
+    Alcotest.test_case "records carrying a tile count still recover" `Quick
+      test_legacy_tiles_records_recover;
     Props.test ~count:30 "journal: append/reopen identity" payloads_arb
       prop_append_reopen_identity;
     Props.test ~count:30 "journal: any truncation yields a clean prefix"
