@@ -5,7 +5,7 @@
    Usage: main.exe [SUITE]... [--scale S]
      solver    MCMF solver microbenchmark; checks the small case against
                bench/golden_solver.txt and exits 1 on mismatch
-     parallel  experiments grid at 1 2 4 8 domains, plus the tiled flow
+     parallel  experiments grid at 1 2 4 8 domains
      eco       incremental ECO vs from-scratch latency
      serve     warm daemon vs one-shot CLI chain
      paper     Tables II-V, Fig. 7, Fig. 8, ablations and telemetry
@@ -310,65 +310,13 @@ let run_parallel_bench ~scale =
         (base_dt /. dt))
     runs;
   Printf.printf "  deterministic across job counts: %b\n" deterministic;
-  (* Tiled flow sweep: one from-scratch legalization per tile count on a
-     mid-size case, every placement byte-compared against the untiled
-     run.  Tiling is required to never change the result; the timings
-     record the honest (possibly <1x) speedup, and the reconcile/conflict
-     counters say how much speculation actually landed. *)
-  let tile_list = [ 1; 2; 4; 9 ] in
-  let tile_design =
-    Tdf_benchgen.Gen.generate_by_name ~scale Tdf_benchgen.Spec.Iccad2023
-      "case2"
-  in
-  Printf.printf "  tiled flow (iccad2023 case2, scale %.3g):\n" scale;
-  Tdf_par.set_jobs 4;
-  let tile_runs =
-    List.map
-      (fun tiles ->
-        Tdf_legalizer.Tile.reset_counters ();
-        let result, dt =
-          timed (fun () -> Tdf_legalizer.Flow3d.run_tiled ~tiles tile_design)
-        in
-        let txt =
-          match result with
-          | Ok r ->
-            Tdf_io.Text.placement_to_string tile_design
-              r.Tdf_legalizer.Flow3d.placement
-          | Error e ->
-            Printf.eprintf "TILED RUN FAILED (tiles=%d): %s\n" tiles
-              (Tdf_legalizer.Flow3d.error_to_string e);
-            exit 1
-        in
-        let c = Tdf_legalizer.Tile.counters () in
-        (tiles, dt, txt, c))
-      tile_list
-  in
-  Tdf_par.set_jobs 1;
-  let tile_base_dt, tile_base_txt =
-    match tile_runs with
-    | (_, dt, txt, _) :: _ -> (dt, txt)
-    | [] -> assert false
-  in
-  let tile_deterministic =
-    List.for_all (fun (_, _, txt, _) -> txt = tile_base_txt) tile_runs
-  in
-  List.iter
-    (fun (tiles, dt, _, (c : Tdf_legalizer.Tile.counters)) ->
-      Printf.printf
-        "    tiles=%d  %.3fs  speedup %.2fx  reconciled %d  conflicts %d  \
-         live %d\n\
-         %!"
-        tiles dt (tile_base_dt /. dt) c.Tdf_legalizer.Tile.reconciled
-        c.Tdf_legalizer.Tile.conflicts c.Tdf_legalizer.Tile.live)
-    tile_runs;
-  Printf.printf "  deterministic across tile counts: %b\n" tile_deterministic;
   let json =
     Json.Obj
       [
         ("generated_by", Json.String "bench/main.ml");
         ("scale", Json.Float scale);
         ("recommended_domain_count", Json.Int (Domain.recommended_domain_count ()));
-        ("deterministic", Json.Bool (deterministic && tile_deterministic));
+        ("deterministic", Json.Bool deterministic);
         ( "runs",
           Json.List
             (List.map
@@ -380,20 +328,6 @@ let run_parallel_bench ~scale =
                      ("speedup", Json.Float (base_dt /. dt));
                    ])
                runs) );
-        ( "tile_runs",
-          Json.List
-            (List.map
-               (fun (tiles, dt, _, (c : Tdf_legalizer.Tile.counters)) ->
-                 Json.Obj
-                   [
-                     ("tiles", Json.Int tiles);
-                     ("wall_s", Json.Float dt);
-                     ("speedup", Json.Float (tile_base_dt /. dt));
-                     ("reconciled", Json.Int c.Tdf_legalizer.Tile.reconciled);
-                     ("conflicts", Json.Int c.Tdf_legalizer.Tile.conflicts);
-                     ("live", Json.Int c.Tdf_legalizer.Tile.live);
-                   ])
-               tile_runs) );
       ]
   in
   Printf.printf "Parallel scaling written to %s\n"
@@ -401,11 +335,6 @@ let run_parallel_bench ~scale =
   if not deterministic then begin
     Printf.eprintf
       "PARALLEL MISMATCH: grid output differs across domain counts\n";
-    exit 1
-  end;
-  if not tile_deterministic then begin
-    Printf.eprintf
-      "TILE MISMATCH: tiled placement differs from the untiled run\n";
     exit 1
   end;
   print_newline ()
@@ -665,10 +594,7 @@ let run_serve_bench () =
                  (if i mod 40 = 1 then Some 2
                   else if i mod 40 = 2 then Some 1
                   else None);
-               (* Like the jobs override above: a few requests run tiled
-                  inside the byte-compared prefix to prove replies are
-                  tiles-invariant too. *)
-               tiles = (if i mod 40 = 3 then Some 4 else None);
+               tiles = None;
                want_placement = i < n_cold;
              })
          deltas

@@ -104,8 +104,8 @@ let bin_widths ~len ~bin_width =
 let stale = -1
 
 (* Bin stamps come from one process-wide counter, never from a per-grid
-   one: a search state reused across diverging clones must not see two
-   different bin states under one stamp.  0 is never drawn. *)
+   one: a selection cache handed a second grid must not see two different
+   bin states under one stamp.  0 is never drawn. *)
 let stamps = Atomic.make 1
 
 let fresh_stamp () = Atomic.fetch_and_add stamps 1
@@ -227,20 +227,6 @@ let clear a =
   Array.fill a.cell_head 0 (Array.length a.cell_head) (-1);
   a.top <- 0;
   a.free <- -1
-
-let copy_arena a =
-  {
-    f_cell = Array.copy a.f_cell;
-    f_bin = Array.copy a.f_bin;
-    f_rho = Array.copy a.f_rho;
-    f_bnext = Array.copy a.f_bnext;
-    f_cnext = Array.copy a.f_cnext;
-    top = a.top;
-    free = a.free;
-    bin_head = Array.copy a.bin_head;
-    bin_n = Array.copy a.bin_n;
-    cell_head = Array.copy a.cell_head;
-  }
 
 let build design ~bin_width =
   assert (bin_width > 0);
@@ -750,19 +736,14 @@ let cell_bins t cell =
 (* Breadth-first ball around the seed bins over the full adjacency
    (horizontal, vertical and D2D edges alike): the flow search moves cells
    along exactly these edges, so a radius-k ball bounds where k relay hops
-   can reach.  With [within], the walk never leaves the allowed set — the
-   halo query of the tiled legalizer, where a tile's reach is additionally
-   confined to an ECO dirty region. *)
-let region ?within t ~seeds ~radius =
+   can reach. *)
+let dirty_region t ~seeds ~radius =
   let n = Array.length t.bins in
-  let allowed bid =
-    match within with None -> true | Some m -> m.(bid)
-  in
   let dist = Array.make n (-1) in
   let q = Queue.create () in
   List.iter
     (fun bid ->
-      if bid >= 0 && bid < n && dist.(bid) < 0 && allowed bid then begin
+      if bid >= 0 && bid < n && dist.(bid) < 0 then begin
         dist.(bid) <- 0;
         Queue.add bid q
       end)
@@ -772,31 +753,13 @@ let region ?within t ~seeds ~radius =
     if dist.(u) < radius then
       Array.iter
         (fun (e : edge) ->
-          if dist.(e.dst) < 0 && allowed e.dst then begin
+          if dist.(e.dst) < 0 then begin
             dist.(e.dst) <- dist.(u) + 1;
             Queue.add e.dst q
           end)
         t.edges.(u)
   done;
   Array.map (fun d -> d >= 0) dist
-
-let dirty_region t ~seeds ~radius = region t ~seeds ~radius
-
-(* Deep copy of the mutable assignment state; the static structure
-   (design, segments, adjacency, row index, die capacities) is shared.
-   The copy and the original then evolve independently — the speculation
-   substrate of the tiled legalizer.  The D_c(u) cache travels with the
-   assignment it describes, so each copy invalidates its own entries. *)
-let clone t =
-  {
-    t with
-    bins = Array.map (fun b -> { b with used = b.used }) t.bins;
-    frags = copy_arena t.frags;
-    cell_seg = Array.copy t.cell_seg;
-    cell_disp = Array.copy t.cell_disp;
-    die_used = Array.copy t.die_used;
-    stamp = Array.copy t.stamp;
-  }
 
 (* Every cached D_c(u) and every order priced from the old anchors is
    stale once they change: all cells and all bins are invalidated. *)

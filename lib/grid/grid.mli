@@ -59,7 +59,7 @@ type t = private {
           flat copies of [design]'s cell records are what D_c reads
           ({!cur_disp}, {!est_disp}) and what the flow-pass search prices
           with; they never change after {!build} except through
-          {!rebind}, and {!clone} shares them. *)
+          {!rebind}. *)
   bins : bin array;
   segments : segment array;
   row_segments : int array array array;  (** die → row → segment ids (x order) *)
@@ -77,10 +77,8 @@ type t = private {
           cell it holds.  Every mutation below gives the bins it changed
           a fresh stamp (a fragment change in one bin also restamps every
           other bin holding that cell, whose D_c(u) moved), {!reset}
-          restamps all bins and {!clone} copies the array.  Stamps are
-          drawn from one process-wide counter, so two grids show the same
-          stamp for a bin only when its inputs are the same in both: a
-          clone that has not touched it since the copy. *)
+          restamps all bins.  Stamps are drawn from one process-wide
+          counter, so no two grids ever show the same stamp. *)
 }
 
 val segments_of_row :
@@ -157,8 +155,8 @@ val die_utilization : t -> int -> float
 val util_ok : t -> die:int -> inflow:float -> bool
 (** Whether adding [inflow] width to [die] keeps its utilization within
     the die's [max_util] cap (§III-F); always true for a die without
-    capacity.  The one cap predicate of the legalizer: D2D selections,
-    relief and the tiled replay all evaluate exactly this expression. *)
+    capacity.  The one cap predicate of the legalizer: D2D selections
+    and relief both evaluate exactly this expression. *)
 
 val cur_disp : t -> int -> int
 (** D_c(u) of Eq. 5: Manhattan distance from the cell's initial position
@@ -166,8 +164,7 @@ val cur_disp : t -> int -> int
     the span for the cell's width on that die, y = row bottom); 0 for an
     unassigned cell.  Cached per cell and recomputed only after a mutation
     touched the cell, so repeated reads during a search cost an array
-    load.  The cache belongs to the grid, never to a searcher: a
-    {!clone} carries its own copy. *)
+    load.  The cache belongs to the grid, never to a searcher. *)
 
 val est_disp : t -> cell:int -> bin -> int
 (** D_c(v) of Eq. 4: Manhattan distance from the cell's initial position to
@@ -238,28 +235,12 @@ val cell_bins : t -> int -> int list
 (** Ids of the bins currently holding fragments of the cell, in the
     cell's list order (empty when unassigned). *)
 
-val region :
-  ?within:bool array -> t -> seeds:int list -> radius:int -> bool array
-(** [region t ~seeds ~radius] marks every bin within [radius] BFS hops of
-    a seed bin, walking all edge kinds.  With [within] the walk is
-    confined to allowed bins (seeds outside it are dropped) — the
-    tile-plus-halo query of the tiled legalizer, where a tile's reach must
-    also stay inside an ECO dirty region. *)
-
 val dirty_region : t -> seeds:int list -> radius:int -> bool array
 (** [dirty_region t ~seeds ~radius] marks every bin within [radius] BFS
     hops of a seed bin, walking all edge kinds (horizontal, vertical,
     D2D).  Out-of-range seed ids are ignored.  The result indexes by bin
     id and is the movement mask of the incremental (ECO) legalizer: a
     radius-k ball bounds everything k relay hops can touch. *)
-
-val clone : t -> t
-(** Deep copy of the mutable assignment state ([used] of every bin, the
-    fragment arena, [cell_seg], [cell_disp], [die_used], [stamp]); the
-    static structure, the design and its per-cell arrays are shared with
-    the original (a later {!rebind} of either one rebinds only that one).
-    Mutations on the clone never touch the original — the speculation
-    substrate of the tiled legalizer. *)
 
 val rebind : t -> Tdf_netlist.Design.t -> unit
 (** [rebind t design] makes [design] the grid's design in place: the flat

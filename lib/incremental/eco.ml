@@ -14,7 +14,6 @@ type cfg = {
   widen_factor : int;
   fallback : bool;
   budget_ms : int option;
-  tiles : int option;
 }
 
 let default_cfg =
@@ -25,7 +24,6 @@ let default_cfg =
     widen_factor = 2;
     fallback = true;
     budget_ms = None;
-    tiles = None;
   }
 
 type path = Local of { radius : int } | Full of Pipeline.path
@@ -231,10 +229,7 @@ let run_cached ?(cfg = default_cfg) ~cache design prev delta =
               | None -> Budget.unlimited
               | Some ms -> Budget.create ~wall_ms:ms ()
             in
-            let ps =
-              Flow3d.tiled_local_pass ~mask ?tiles:cfg.tiles cfg.flow ~budget
-                grid
-            in
+            let ps = Flow3d.local_pass ~mask cfg.flow ~budget grid in
             if
               ps.Flow3d.pass_failed > 0
               || (not ps.Flow3d.pass_complete)
@@ -323,12 +318,7 @@ module Session = struct
     mutable grid_reuses : int;
   }
 
-  let create ?(cfg = default_cfg) ?tiles design placement =
-    let cfg =
-      match tiles with
-      | None -> cfg
-      | Some _ -> { cfg with tiles }
-    in
+  let create ?(cfg = default_cfg) design placement =
     {
       design;
       placement = Placement.copy placement;
@@ -341,8 +331,6 @@ module Session = struct
   let design t = t.design
 
   let placement t = t.placement
-
-  let tiles t = t.cfg.tiles
 
   let ecos t = t.ecos
 

@@ -37,12 +37,6 @@ type cfg = {
       (** allow the full-rerun fallback; with [false] a failed local
           solve is an error (default [true]) *)
   budget_ms : int option;  (** wall-clock budget per local attempt *)
-  tiles : int option;
-      (** shard the masked flow pass into this many speculative tiles
-          ({!Tdf_legalizer.Flow3d.tiled_local_pass}); [None] defers to
-          the process-wide {!Tdf_legalizer.Tile.tiles} knob.  Results are
-          byte-identical at any value — regions too small to shard run
-          the plain pass. *)
 }
 
 val default_cfg : cfg
@@ -113,23 +107,17 @@ module Session : sig
 
   val create :
     ?cfg:cfg ->
-    ?tiles:int ->
     Tdf_netlist.Design.t ->
     Tdf_netlist.Placement.t ->
     t
   (** [create design placement] caches [design] with a (presumed legal)
-      [placement]; the placement is copied, never aliased.  [?tiles]
-      overrides [cfg.tiles] for every [eco] of this session (the serve
-      daemon threads each session's requested tiling through here). *)
+      [placement]; the placement is copied, never aliased. *)
 
   val design : t -> Tdf_netlist.Design.t
   (** The current (possibly perturbed) design of the session. *)
 
   val placement : t -> Tdf_netlist.Placement.t
   (** The current placement; legal whenever the last [eco] succeeded. *)
-
-  val tiles : t -> int option
-  (** The session's tile override ([None] = process-wide knob). *)
 
   val set_placement :
     t -> Tdf_netlist.Design.t -> Tdf_netlist.Placement.t -> unit

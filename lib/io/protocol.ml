@@ -2,6 +2,9 @@ module Json = Tdf_telemetry.Json
 
 type source = Path of string | Text of string
 
+(* The [tiles] fields are round-tripped but never acted on: the flow pass
+   is no longer sharded, and they stay only because the performance
+   ledger (bench/ledger) still builds requests with them. *)
 type request =
   | Load_design of {
       session : string;

@@ -23,6 +23,9 @@
     {"req":"shutdown"}
     v}
 
+    The ["tiles"] key is accepted and ignored (see the [tiles] fields
+    below).
+
     Placements travel as the exact text of {!Text.placement_to_string}, so
     a server response is byte-comparable with what the one-shot CLI writes
     to disk — the frozen-cell guarantee of the incremental engine survives
@@ -38,14 +41,15 @@ type request =
       design : source;
       placement : source option;
       tiles : int option;
-          (** session-wide tile count for every flow pass; omitted =
-              the server's process-wide knob *)
+          (** Accepted and ignored: the flow pass is no longer sharded.
+              Kept, and still encoded and decoded, because the
+              performance ledger ([bench/ledger]) still sends it. *)
     }
   | Legalize of {
       session : string;
       budget_ms : int option;
       jobs : int option;
-      tiles : int option;  (** per-request override of the session tiling *)
+      tiles : int option;  (** ignored; kept for [bench/ledger] *)
       want_placement : bool;
     }
   | Eco of {
@@ -55,7 +59,7 @@ type request =
       max_widenings : int option;
       budget_ms : int option;
       jobs : int option;
-      tiles : int option;  (** per-request override of the session tiling *)
+      tiles : int option;  (** ignored; kept for [bench/ledger] *)
       want_placement : bool;
     }
   | Get_placement of { session : string }

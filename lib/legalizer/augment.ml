@@ -35,24 +35,6 @@ let create_state grid =
 
 let expansions st = st.pops
 
-(* Read-set recorder for speculative (tiled) searches: which bins and dies
-   the search consulted, and whether the mask pruned an expansion that a
-   reference mask (the non-tile mask the authoritative pass runs under)
-   would have allowed.  A blocked search may differ from the authoritative
-   one, so its result is unusable as a speculation. *)
-type probe = {
-  mutable pr_bins : int list;  (** bins whose state the search read *)
-  mutable pr_utils : (int * float * bool) list;
-      (** utilization-cap evaluations: (die, inflow, outcome) for every
-          [die_used] comparison a D2D selection performed *)
-  mutable pr_blocked : bool;
-  pr_ref : bool array option;
-      (** the mask the authoritative search runs under; [None] = unmasked *)
-}
-
-let probe ?ref_mask () =
-  { pr_bins = []; pr_utils = []; pr_blocked = false; pr_ref = ref_mask }
-
 (* Pruning bound of Alg. 1 line 13.  The paper writes (1 + α)·cost(p_best);
    because iterative re-legalization makes costs near zero or negative, we
    use the equivalent additive form best + α·(|best| + h_r) so the slack
@@ -61,34 +43,11 @@ let bound cfg ~h_r best =
   if cfg.Config.exhaustive || best = infinity then infinity
   else best +. (cfg.Config.alpha *. (Float.abs best +. h_r))
 
-let search ?mask ?probe:pr cfg grid st ~src =
+let search ?mask cfg grid st ~src =
   Tdf_telemetry.span "flow3d.augment" @@ fun () ->
   st.epoch <- st.epoch + 1;
   st.pops <- 0;
   let epoch = st.epoch in
-  let read_bin bid =
-    match pr with Some p -> p.pr_bins <- bid :: p.pr_bins | None -> ()
-  in
-  let util_probe =
-    match pr with
-    | Some p ->
-      Some
-        (fun ~die ~inflow ~ok -> p.pr_utils <- (die, inflow, ok) :: p.pr_utils)
-    | None -> None
-  in
-  (* A masked-out expansion the reference mask would have allowed means
-     this search saw less of the grid than the authoritative one will. *)
-  let note_pruned dst =
-    match pr with
-    | Some p ->
-      if
-        match p.pr_ref with
-        | None -> true
-        | Some ref_mask -> ref_mask.(dst)
-      then p.pr_blocked <- true
-    | None -> ()
-  in
-  read_bin src.Grid.id;
   (* One augmentation pushes at most cap(s): a single path can only relay
      what the bins along it can absorb or already hold, so large supplies
      are shed in successive chunks (Alg. 2 re-queues the bin while
@@ -137,14 +96,12 @@ let search ?mask ?probe:pr cfg grid st ~src =
             let mask_ok =
               match mask with None -> true | Some m -> m.(e.Grid.dst)
             in
-            if kind_ok && not mask_ok then note_pruned e.Grid.dst;
             let vid = e.Grid.dst in
             if kind_ok && mask_ok && st.visited.(vid) <> epoch then begin
               incr sels;
-              read_bin vid;
               if
                 loaded
-                && Select.select_cost ?util_probe st.sel cfg grid ~src:u ~edge:i
+                && Select.select_cost st.sel cfg grid ~src:u ~edge:i
                      ~need sums
               then begin
                 let inflow = sums.Select.s_inflow in

@@ -24,37 +24,12 @@ type path = node list
 (** Root (the supply bin) first, candidate leaf last. *)
 
 type state
-(** Reusable search labels and selection cache.  One per domain: a state
-    may serve {!search} on a grid and on any of its clones, in any
-    interleaving. *)
+(** Reusable search labels and selection cache, created for one grid. *)
 
 val create_state : Grid.t -> state
 
-type probe = {
-  mutable pr_bins : int list;  (** bins whose state the search read *)
-  mutable pr_utils : (int * float * bool) list;
-      (** utilization-cap evaluations ((die, inflow, outcome)) D2D
-          selections performed — the only die state a search reads, kept
-          re-evaluable against drifted [die_used] totals *)
-  mutable pr_blocked : bool;
-      (** the mask pruned an expansion the reference mask allowed *)
-  pr_ref : bool array option;
-}
-(** Read-set recorder for speculative (tiled) searches — see {!probe}. *)
-
-val probe : ?ref_mask:bool array -> unit -> probe
-(** Fresh recorder.  Passed to {!search} it collects every bin whose
-    mutable state the search consulted (plus every die-utilization
-    comparison a D2D selection evaluated), and flags [pr_blocked] when
-    the search mask pruned an expansion that [ref_mask] (the mask the
-    authoritative pass runs under; [None] means unmasked) would have
-    allowed — a blocked search may return a different path than the
-    authoritative one, so its result must not be used as a
-    speculation. *)
-
 val search :
   ?mask:bool array ->
-  ?probe:probe ->
   Config.t ->
   Grid.t ->
   state ->

@@ -49,10 +49,8 @@ let eps = 1e-6
 (* Supplies are queued as exact micro-units so the priority heap stays
    monomorphic on ints and staleness is plain integer (in)equality —
    no epsilon dance against a negated float key.  One micro-unit mirrors
-   the historical [eps = 1e-6] resolution threshold.  Shared with the
-   tiled speculation pass, whose key matching relies on the exact same
-   quantization. *)
-let supply_micro = Tile.supply_micro
+   the historical [eps = 1e-6] resolution threshold. *)
+let supply_micro b = int_of_float (Float.round (Grid.supply b *. 1e6))
 
 type pass_stats = {
   pass_augmentations : int;
@@ -62,23 +60,12 @@ type pass_stats = {
   pass_complete : bool;
 }
 
-(* Speculation hooks of the tiled pass: [h_search] may substitute a
-   recorded search result (with its expansion count) proven equal to what
-   the live search would return; [h_committed]/[h_relieved] report every
-   write so pending speculations reading the touched region are
-   invalidated.  With no hooks the pass is the plain sequential loop. *)
-type hooks = {
-  h_search : src:Grid.bin -> msup:int -> (Augment.path option * int) option;
-  h_committed : Augment.path -> tr:Tile.commit_trace -> unit;
-  h_relieved : src:Grid.bin -> dst:Grid.bin -> unit;
-}
-
 (* Alg. 2 lines 4-10: resolve supply bins in descending supply order.
    With [mask] set, the pass is localized: only masked-in supply bins are
    queued, the path search never expands outside the mask, and relief
    destinations stay inside it — everything else is frozen.  This is the
    re-legalization kernel of the incremental (ECO) engine. *)
-let local_pass ?mask ?hooks cfg ~budget grid =
+let local_pass ?mask cfg ~budget grid =
   Tdf_telemetry.span "flow3d.flow_pass" @@ fun () ->
   let state = Augment.create_state grid in
   let scratch = Mover.create_scratch () in
@@ -93,18 +80,6 @@ let local_pass ?mask ?hooks cfg ~budget grid =
   let reliefs = ref 0 in
   let complete = ref true in
   let relief_budget = 8 * Grid.n_bins grid in
-  let do_search b msup =
-    let live () =
-      let r = Augment.search ?mask cfg grid state ~src:b in
-      (r, Augment.expansions state)
-    in
-    match hooks with
-    | None -> live ()
-    | Some h -> (
-      match h.h_search ~src:b ~msup with
-      | Some (r, exp) -> (r, exp)
-      | None -> live ())
-  in
   let rec loop () =
     if Tdf_util.Failpoint.fire "flow3d.timeout" then
       Tdf_util.Budget.exhaust budget;
@@ -140,33 +115,23 @@ let local_pass ?mask ?hooks cfg ~budget grid =
           end
           else incr failed
         in
-        (match do_search b msup with
-        | None, exp -> (
-          expansions := !expansions + exp;
+        let found = Augment.search ?mask cfg grid state ~src:b in
+        expansions := !expansions + Augment.expansions state;
+        (match found with
+        | None -> (
           match
             if !reliefs < relief_budget then Relief.relieve ?mask cfg grid ~src:b
             else None
           with
-          | Some (_cell, dst) ->
-            (match hooks with
-            | Some h -> h.h_relieved ~src:b ~dst
-            | None -> ());
+          | Some _ ->
             incr reliefs;
             let msup' = supply_micro b in
             if msup' > 1 then Heap.add q ~key:(-msup') bid
           | None -> requeue_or_fail (supply_micro b))
-        | Some path, exp ->
+        | Some path ->
           incr augmentations;
           Tdf_util.Budget.tick budget 1;
-          expansions := !expansions + exp;
-          (match hooks with
-          | None -> ignore (Mover.realize cfg grid scratch path)
-          | Some h ->
-            let tr = Tile.trace () in
-            ignore
-              (Mover.realize ~pick_probe:(Tile.trace_probe grid tr) cfg grid
-                 scratch path);
-            h.h_committed path ~tr);
+          ignore (Mover.realize cfg grid scratch path);
           let msup' = supply_micro b in
           if msup' > 1 then requeue_or_fail msup');
         loop ()
@@ -184,42 +149,6 @@ let local_pass ?mask ?hooks cfg ~budget grid =
     pass_reliefs = !reliefs;
     pass_complete = !complete;
   }
-
-(* Tile-sharded pass: speculate per tile on the Tdf_par pool, then commit
-   through the sequential loop with the speculation oracle.  Equal to
-   [local_pass ?mask] by construction (see Tile); regions too small to
-   shard skip speculation entirely. *)
-let tiled_local_pass ?mask ?tiles cfg ~budget grid =
-  let k = Tile.clamp (match tiles with Some t -> t | None -> Tile.tiles ()) in
-  let allowed_bins =
-    match mask with
-    | None -> Grid.n_bins grid
-    | Some m -> Array.fold_left (fun a v -> if v then a + 1 else a) 0 m
-  in
-  if k <= 1 || allowed_bins < k * 8 then local_pass ?mask cfg ~budget grid
-  else begin
-    let tl, logs =
-      Tdf_telemetry.span "flow3d.tile" @@ fun () ->
-      let tl = Tile.make ?within:mask grid ~tiles:k in
-      (tl, Tile.speculate ?within:mask cfg tl grid)
-    in
-    let cons = Tile.consumer tl logs grid in
-    let hooks =
-      {
-        h_search = (fun ~src ~msup -> Tile.consume cons ~src ~msup);
-        h_committed = (fun path ~tr -> Tile.note_path cons grid path ~tr);
-        h_relieved = (fun ~src ~dst -> Tile.note_move cons grid ~src ~dst);
-      }
-    in
-    let ps = local_pass ?mask ~hooks cfg ~budget grid in
-    Tdf_telemetry.count "tile.reconciled" (Tile.reconciled cons);
-    Tdf_telemetry.count "tile.conflicts" (Tile.conflicts cons);
-    Tdf_telemetry.count "tile.live_searches" (Tile.live_searches cons);
-    Tile.record cons;
-    ps
-  end
-
-let flow_pass ?tiles cfg ~budget grid = tiled_local_pass ?tiles cfg ~budget grid
 
 (* §III-D: Abacus PlaceRow on every segment; writes final positions.
    Segments are independent subproblems — each touches only the placement
@@ -301,7 +230,7 @@ let max_disp design p =
    the grid of a previous pass at the same bin width, the
    bins/segments/adjacency are kept and only the assignment is rebuilt
    ([Grid.reset_to]) instead of reconstructing the whole graph. *)
-let one_pass ?tiles cfg ~budget design ~bin_factor ?reuse (start : Placement.t)
+let one_pass cfg ~budget design ~bin_factor ?reuse (start : Placement.t)
     ?(targets = start) () =
   let grid =
     match reuse with
@@ -318,7 +247,7 @@ let one_pass ?tiles cfg ~budget design ~bin_factor ?reuse (start : Placement.t)
       | Ok () -> grid
       | Error e -> raise (Place_failed e))
   in
-  let ps = flow_pass ?tiles cfg ~budget grid in
+  let ps = local_pass cfg ~budget grid in
   let p = Placement.copy start in
   finalize grid p;
   ( p,
@@ -341,7 +270,7 @@ let count_d2d design (p : Placement.t) =
   !count
 
 let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
-    ?tiles design =
+    design =
   Tdf_telemetry.span "flow3d.legalize" @@ fun () ->
   if Tdf_util.Failpoint.fire "flow3d.flow_pass" then
     Error (Injected { site = "flow3d.flow_pass" })
@@ -351,7 +280,7 @@ let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
     in
     try
       let p, aug, exp_, failed, reliefs, residual, complete, _ =
-        one_pass ?tiles cfg ~budget design
+        one_pass cfg ~budget design
           ~bin_factor:cfg.Config.bin_width_factor start ()
       in
       let p = ref p in
@@ -383,7 +312,7 @@ let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
                 targets.Placement.y.(c) <- y)
               victims;
             let p', aug', exp', failed', reliefs', residual', complete', grid' =
-              one_pass ?tiles cfg ~budget design
+              one_pass cfg ~budget design
                 ~bin_factor:cfg.Config.post_bin_width_factor ?reuse:!post_grid
                 !p ~targets ()
             in
@@ -430,9 +359,6 @@ let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
     with Place_failed e ->
       Error (No_segment { cell = e.Grid.pe_cell; die = e.Grid.pe_die })
   end
-
-let run_tiled ?cfg ?budget ?start ~tiles design =
-  run ?cfg ?budget ?start ~tiles design
 
 let legalize_from ?(cfg = Config.default) design start =
   match run ~cfg ~start design with

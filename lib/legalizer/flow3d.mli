@@ -42,7 +42,6 @@ val run :
   ?cfg:Config.t ->
   ?budget:Tdf_util.Budget.t ->
   ?start:Tdf_netlist.Placement.t ->
-  ?tiles:int ->
   Tdf_netlist.Design.t ->
   (result, error) Stdlib.result
 (** The resilient entry point: legalize from [start] (default: the
@@ -51,22 +50,8 @@ val run :
     wind down and the best-effort placement is returned with
     [stats.complete = false] — the run never hangs.  Structural failures
     (an unplaceable cell) are returned as [Error] instead of raising.
-    [tiles] (default: the process-wide {!Tile.tiles} knob) shards every
-    flow pass into that many speculative tiles on the {!Tdf_par} pool;
-    the placement is bit-identical at any tiles × jobs combination.
     Fault-injection sites: ["flow3d.flow_pass"] (forces an [Injected]
     error) and ["flow3d.timeout"] (exhausts the budget). *)
-
-val run_tiled :
-  ?cfg:Config.t ->
-  ?budget:Tdf_util.Budget.t ->
-  ?start:Tdf_netlist.Placement.t ->
-  tiles:int ->
-  Tdf_netlist.Design.t ->
-  (result, error) Stdlib.result
-(** {!run} with an explicit tile count.  [run_tiled ~tiles:1] executes
-    the untiled code path; for any [tiles] the output is byte-identical
-    to [run] — tiling is a wall-clock strategy, never a result change. *)
 
 val legalize : ?cfg:Config.t -> Tdf_netlist.Design.t -> result
 (** Legalize from the design's global placement (nearest-die initial
@@ -96,26 +81,8 @@ type pass_stats = {
   pass_complete : bool;  (** [false] when the budget expired mid-pass *)
 }
 
-type hooks = {
-  h_search :
-    src:Tdf_grid.Grid.bin ->
-    msup:int ->
-    (Augment.path option * int) option;
-      (** substitute a recorded search result (and its expansion count)
-          proven equal to the live one, or [None] to search live *)
-  h_committed : Augment.path -> tr:Tile.commit_trace -> unit;
-      (** a path was realized with this commit trace (applied picks and
-          write footprint — the tiled pass's fingerprint) *)
-  h_relieved : src:Tdf_grid.Grid.bin -> dst:Tdf_grid.Grid.bin -> unit;
-      (** a relief move was taken *)
-}
-(** Speculation hooks of the tiled pass ({!Tile}): the commit loop stays
-    the sequential one, hooks only short-circuit searches whose results
-    are already proven and report every write. *)
-
 val local_pass :
   ?mask:bool array ->
-  ?hooks:hooks ->
   Config.t ->
   budget:Tdf_util.Budget.t ->
   Tdf_grid.Grid.t ->
@@ -125,21 +92,6 @@ val local_pass :
     id) only masked-in supply bins are queued and neither the augmenting
     search nor the relief fallback ever touches a masked-out bin.  Without
     [mask] this is exactly the full flow pass [run] performs. *)
-
-val tiled_local_pass :
-  ?mask:bool array ->
-  ?tiles:int ->
-  Config.t ->
-  budget:Tdf_util.Budget.t ->
-  Tdf_grid.Grid.t ->
-  pass_stats
-(** {!local_pass} sharded into [tiles] speculative tiles (default: the
-    process-wide {!Tile.tiles} knob): per-tile masked passes run on grid
-    clones over the {!Tdf_par} pool, the sequential commit loop then
-    consumes their proposals under version validation ({!Tile}).  The
-    resulting grid state and stats are byte-identical to
-    [local_pass ?mask]; masked regions too small to shard (fewer than
-    8 × tiles allowed bins) skip speculation. *)
 
 val place_segments :
   ?only:bool array -> Tdf_grid.Grid.t -> Tdf_netlist.Placement.t -> unit

@@ -23,16 +23,12 @@ let edge_kind _grid ~src ~dst =
   else if src.Grid.die = dst.Grid.die then Grid.Vertical
   else Grid.D2d
 
-let apply_selection ?pick_probe ~edge grid ~src ~dst ~kind (sel : Select.selection)
-    =
+let apply_selection grid ~src ~dst ~kind (sel : Select.selection) =
   if Tdf_telemetry.enabled () then
     Tdf_telemetry.count "flow3d.mover.picks" (List.length sel.Select.picks);
   let d2d_moves = ref 0 in
   List.iter
     (fun (p : Select.pick) ->
-      (match pick_probe with
-      | Some f -> f ~edge ~cell:p.Select.p_cell ~rho:p.Select.p_rho
-      | None -> ());
       match kind with
       | Grid.Horizontal ->
         Grid.move_fraction grid ~cell:p.Select.p_cell ~src ~dst ~rho:p.Select.p_rho
@@ -43,7 +39,7 @@ let apply_selection ?pick_probe ~edge grid ~src ~dst ~kind (sel : Select.selecti
     sel.Select.picks;
   !d2d_moves
 
-let realize ?pick_probe cfg grid scratch path =
+let realize cfg grid scratch path =
   Tdf_telemetry.span "flow3d.mover" @@ fun () ->
   load_path scratch path;
   let nodes = scratch.s_nodes in
@@ -61,15 +57,13 @@ let realize ?pick_probe cfg grid scratch path =
       incr sels;
       match Select.select cfg grid ~src:u ~dst:v ~kind ~need with
       | Some sel ->
-        d2d_moves :=
-          !d2d_moves + apply_selection ?pick_probe ~edge:i grid ~src:u ~dst:v ~kind sel
+        d2d_moves := !d2d_moves + apply_selection grid ~src:u ~dst:v ~kind sel
       | None ->
         (* Availability shrank below [need]; shed whatever is left. *)
         incr sels;
         (match Select.select cfg grid ~src:u ~dst:v ~kind ~need:u.Grid.used with
         | Some sel ->
-          d2d_moves :=
-            !d2d_moves + apply_selection ?pick_probe ~edge:i grid ~src:u ~dst:v ~kind sel
+          d2d_moves := !d2d_moves + apply_selection grid ~src:u ~dst:v ~kind sel
         | None -> ())
     end
   done;

@@ -16,7 +16,6 @@ val edge_kind : Grid.t -> src:Grid.bin -> dst:Grid.bin -> Grid.edge_kind
 (** Kind of the (existing) edge between two adjacent bins on a path. *)
 
 val realize :
-  ?pick_probe:(edge:int -> cell:int -> rho:float -> unit) ->
   Config.t ->
   Grid.t ->
   scratch ->
@@ -27,6 +26,4 @@ val realize :
     search; if intervening moves (a straddling cell pulled out by a
     downstream whole-cell move) reduced availability, the step moves what
     remains.  Returns the number of cells moved across dies (the #Move
-    statistic of Table V).  [?pick_probe] observes every applied pick in
-    order — the commit fingerprint the tiled legalizer compares between
-    its speculative and authoritative realizations. *)
+    statistic of Table V). *)

@@ -28,8 +28,7 @@ val relieve :
     alone (the row's y distance, then that plus the bin's x distance)
     can no longer win, which picks exactly what a scan of every bin
     would.
-    Returns the [(cell, destination)] taken so the tiled commit loop can
-    invalidate speculations reading the touched region, or [None] when no
-    cell of [src] fits anywhere.  [mask], when given, restricts
+    Returns the [(cell, destination)] taken, or [None] when no cell of
+    [src] fits anywhere.  [mask], when given, restricts
     destinations to bins [b] with [mask.(b) = true] (the incremental
     legalizer's frozen-region contract). *)

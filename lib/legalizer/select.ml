@@ -169,8 +169,8 @@ let sort_by_cost uc order n =
    ([order.(k)] for the k-th cheapest, unit costs in [uc]).  Writes what
    it took into [t] and the sums into [s], and tells whether the
    selection exists.  [sm] is scratch with room for [n] floats.
-   Allocates nothing but the [util_probe] call. *)
-let scan ?util_probe grid cell held ~n ~uc ~order ~sm ~(src : Grid.bin)
+   Allocates nothing. *)
+let scan grid cell held ~n ~uc ~order ~sm ~(src : Grid.bin)
     ~(dst : Grid.bin) ~kind ~need t s =
   let nd = grid.Grid.n_dies and widths = grid.Grid.widths in
   let freed = ref 0. and cost = ref 0. and k = ref 0 in
@@ -263,12 +263,7 @@ let scan ?util_probe grid cell held ~n ~uc ~order ~sm ~(src : Grid.bin)
       s.s_last <- 1.0;
       kind <> Grid.D2d
       ||
-      let d = dst.Grid.die in
-      let ok = Grid.util_ok grid ~die:d ~inflow:!inflow in
-      (match util_probe with
-      | Some f -> f ~die:d ~inflow:!inflow ~ok
-      | None -> ());
-      ok
+      Grid.util_ok grid ~die:dst.Grid.die ~inflow:!inflow
     end
 
 (* The picks of a successful [scan].  A horizontal pick short of its
@@ -297,7 +292,7 @@ let nothing = { picks = []; freed = 0.; inflow = 0.; sel_cost = 0. }
 (* Callers batch "flow3d.select.calls" counting (one flush per search /
    realization) — a per-call [Telemetry.incr] here would emit millions of
    counter events into trace sinks on full-size runs. *)
-let select ?util_probe cfg grid ~src ~dst ~kind ~need =
+let select cfg grid ~src ~dst ~kind ~need =
   if need <= 0. then Some nothing
   else begin
     let n = Grid.n_frags grid src.Grid.id in
@@ -311,8 +306,7 @@ let select ?util_probe cfg grid ~src ~dst ~kind ~need =
       sort_by_cost uc order n;
       let t = { taken = 0; swap = -1 } and s = sums () in
       if
-        scan ?util_probe grid cell held ~n ~uc ~order ~sm ~src ~dst ~kind ~need t
-          s
+        scan grid cell held ~n ~uc ~order ~sm ~src ~dst ~kind ~need t s
       then
         Some
           {
@@ -406,7 +400,7 @@ let load c cfg grid ~(src : Grid.bin) ~need =
     not (too_small c.tb_total.(b) ~need)
   end
 
-let select_cost ?util_probe c cfg grid ~(src : Grid.bin) ~edge ~need s =
+let select_cost c cfg grid ~(src : Grid.bin) ~edge ~need s =
   if need <= 0. then begin
     s.s_freed <- 0.;
     s.s_inflow <- 0.;
@@ -467,6 +461,5 @@ let select_cost ?util_probe c cfg grid ~(src : Grid.bin) ~edge ~need s =
         Bytes.set_int64_ne blk (stamp_at ~ne edge) (Int64.of_int dst_stamp)
       end
     end;
-    scan ?util_probe grid cell held ~n ~uc ~order ~sm:c.sm ~src ~dst ~kind ~need
-      c.taken s
+    scan grid cell held ~n ~uc ~order ~sm:c.sm ~src ~dst ~kind ~need c.taken s
   end

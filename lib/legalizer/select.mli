@@ -60,7 +60,6 @@ val sort_by_cost : float array -> int array -> int -> unit
     heapsort specialised to that comparison. *)
 
 val select :
-  ?util_probe:(die:int -> inflow:float -> ok:bool -> unit) ->
   Config.t ->
   Grid.t ->
   src:Grid.bin ->
@@ -72,11 +71,7 @@ val select :
     least [need] width from [src] ([freed >= need], with equality for
     horizontal edges).  [None] when the bin cannot shed [need] width or, on
     a D2D edge, when moving would exceed the destination die's utilization
-    cap ({!Grid.util_ok}, §III-F).  [?util_probe] observes every
-    evaluation of the utilization cap — the [die_used] comparison and its
-    outcome — so the tiled legalizer can later re-evaluate the same
-    comparison against drifted die totals (the only die state a selection
-    reads). *)
+    cap ({!Grid.util_ok}, §III-F). *)
 
 (** {2 Selection cache}
 
@@ -94,8 +89,8 @@ val select :
 type cache
 
 val create_cache : Grid.t -> cache
-(** An empty cache for searches on [grid] or on any clone of it (the
-    slots follow [grid]'s adjacency).  Not shared between domains. *)
+(** An empty cache for searches on [grid] (the slots follow [grid]'s
+    adjacency).  Not shared between domains. *)
 
 val load : cache -> Config.t -> Grid.t -> src:Grid.bin -> need:float -> bool
 (** [load c cfg grid ~src ~need] readies [c] for {!select_cost} out of
@@ -119,7 +114,6 @@ val sums : unit -> sums
 (** A zeroed {!sums}. *)
 
 val select_cost :
-  ?util_probe:(die:int -> inflow:float -> ok:bool -> unit) ->
   cache ->
   Config.t ->
   Grid.t ->
@@ -132,7 +126,7 @@ val select_cost :
     [select cfg grid ~src ~dst ~kind ~need] for the [edge]-th out-edge of
     [src] ([grid.edges.(src.id).(edge)], giving [dst] and [kind]):
     [true] when that selection exists, with its numbers written into [s],
-    and no allocation (beyond [util_probe]'s).  The order comes from [c]
+    and no allocation.  The order comes from [c]
     when still valid; bins with more than 256 candidates are sorted
     afresh on every call.  Both run the one pick scan {!select} builds
     its picks from.  [src] must have been {!load}ed under [cfg] since its

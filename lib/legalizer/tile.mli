@@ -1,155 +1,9 @@
-(** Tile-sharded speculation for the flow pass.
+(** Inert remnant of the removed tile-sharded flow pass.
 
-    The bin grid is partitioned into K fixed spatial tiles (a pure
-    function of the grid geometry and K — never of the job count); each
-    tile runs a masked flow pass on a private {!Tdf_grid.Grid.clone},
-    producing a log of {e proposals}: one recorded search result per
-    supply-bin pop, together with the exact versions of every bin and die
-    the search consulted.  The authoritative pass ({!Flow3d.local_pass}
-    with hooks) then replays the ordinary sequential loop, consuming a
-    tile's next proposal only when it provably equals what the live
-    search would return — popped bin and micro-supply match, the tile
-    mask never pruned an expansion the live mask would allow, and no read
-    version moved.  A mismatch discards the tile's remaining log (the
-    conflict path), so the committed placement is equal to the untiled
-    pass {e by construction}: bit-identical at every [--tiles] × [--jobs]
-    combination. *)
-
-module Grid = Tdf_grid.Grid
-
-(** {2 Process-wide tile count}
-
-    Mirrors the {!Tdf_par} jobs knob: CLI [--tiles] beats the
-    [TDFLOW_TILES] environment variable beats the default of 1; values
-    are clamped to [1, 64]; an unparsable or non-positive environment
-    value is ignored. *)
-
-val clamp : int -> int
-
-val env_tiles : unit -> int option
+    The flow pass is one sequential loop ({!Flow3d.local_pass}); nothing
+    is sharded.  This module survives only because the performance
+    ledger ([bench/ledger/ledger.ml]) still calls {!set_tiles}; it goes
+    once the ledger stops doing so. *)
 
 val set_tiles : int -> unit
-
-val tiles : unit -> int
-
-(** {2 Partition} *)
-
-val default_halo : int
-
-val partition : ?within:bool array -> Grid.t -> tiles:int -> int array
-(** [partition grid ~tiles] maps every bin id to its owning tile
-    ([0 .. tiles-1]) by cutting the bounding box of the (allowed) bins
-    into a near-square kx × ky grid of columns and rows spanning every
-    die — D2D edges stay inside one tile.  Bins outside [within] get -1.
-    Reads only static geometry: byte-identical at any job count. *)
-
-type t = {
-  t_k : int;
-  t_part : int array;  (** bin id → owning tile, -1 outside [within] *)
-  t_masks : bool array array;  (** tile → interior ∪ halo ring *)
-}
-
-val make : ?within:bool array -> ?halo:int -> Grid.t -> tiles:int -> t
-(** Partition plus per-tile masks: a tile's mask is its interior widened
-    by a [halo]-hop BFS ring ({!Grid.region}), confined to [within]. *)
-
-(** {2 Proposals} *)
-
-val supply_micro : Grid.bin -> int
-(** sup(v) in exact micro-units — the heap key and staleness test shared
-    with {!Flow3d.local_pass}. *)
-
-type proposal = {
-  p_bid : int;
-  p_key : int;
-  p_path : Augment.path option;
-  p_expansions : int;
-  p_reads : (int * int) array;  (** (bin id, expected segment version) *)
-  p_utils : (int * float * bool) array;
-      (** ((die, inflow, outcome)) utilization-cap evaluations, replayed
-          against the live [die_used] at consume time — die totals may
-          drift as long as every comparison still resolves the same way *)
-  p_moves : (int * int * int64) array;
-      (** ((path edge, cell, rho bits)) picks the clone realization
-          applied — compared against the authoritative realization's
-          picks ({!note_path}); a mismatch voids the rest of the log *)
-}
-
-val speculate :
-  ?within:bool array -> Config.t -> t -> Grid.t -> proposal array array
-(** Run every tile's masked clone pass on the {!Tdf_par} pool (per-domain
-    search state via [run_local]) and return one proposal log per tile.
-    Pure speculation: the input grid is never mutated and no budget is
-    ticked.  Each log is a function of the grid snapshot and the tile
-    mask only, hence deterministic at any pool size. *)
-
-(** {2 Consumption by the authoritative pass} *)
-
-type ledger
-(** Per-bin version vector bumped over each commit's exact write
-    footprint (path bins plus every moved cell's pre-move span); equality
-    with a proposal's recorded read set proves the search would read
-    identical state.  Die utilization is validated by re-evaluating the
-    recorded cap comparisons instead ({!proposal.p_utils}). *)
-
-type commit_trace
-(** Applied picks plus pre-move spans of one {!Mover.realize} run: the
-    commit fingerprint and write footprint, collected identically by the
-    speculative and the authoritative realization. *)
-
-val trace : unit -> commit_trace
-
-val trace_probe :
-  Grid.t -> commit_trace -> edge:int -> cell:int -> rho:float -> unit
-(** Partially applied, this is the [?pick_probe] to pass to
-    {!Mover.realize}. *)
-
-type consumer
-
-val consumer : t -> proposal array array -> Grid.t -> consumer
-
-val consume :
-  consumer -> src:Grid.bin -> msup:int -> (Augment.path option * int) option
-(** Oracle for one search site of the authoritative pass: [Some (result,
-    expansions)] substitutes the recorded search verbatim; [None] means
-    run the live search (log exhausted, discarded, or validation failed —
-    the failing tile's remaining log is dropped). *)
-
-val note_path :
-  consumer -> Grid.t -> Augment.path -> tr:commit_trace -> unit
-(** The authoritative pass realized [path] with commit trace [tr]: bump
-    the written versions, and — when the path came from a consumed
-    proposal — compare the applied picks against the clone realization's
-    fingerprint, discarding the tile's remaining log on divergence (a
-    drifted die total flipped a realize-time cap comparison, so the clone
-    state no longer tracks the live grid). *)
-
-val note_move : consumer -> Grid.t -> src:Grid.bin -> dst:Grid.bin -> unit
-(** The authoritative pass relieved a cell from [src] into [dst]. *)
-
-val reconciled : consumer -> int
-(** Proposals validated and committed. *)
-
-val conflicts : consumer -> int
-(** Proposals discarded on a validation mismatch. *)
-
-val live_searches : consumer -> int
-(** Search sites resolved by a live search (oracle misses). *)
-
-(** {2 Process-wide counters}
-
-    Cumulative across every tiled pass of the process; the serve daemon
-    surfaces them in its [stats] reply and startup banner. *)
-
-type counters = {
-  passes : int;
-  reconciled : int;
-  conflicts : int;
-  live : int;
-}
-
-val record : consumer -> unit
-
-val counters : unit -> counters
-
-val reset_counters : unit -> unit
+(** Does nothing.  Kept for [bench/ledger] only. *)

@@ -6,7 +6,6 @@ module Journal = Tdf_io.Journal
 module Loader = Tdf_io.Loader
 module Json = Tdf_telemetry.Json
 module Eco = Tdf_incremental.Eco
-module Tile = Tdf_legalizer.Tile
 module Pipeline = Tdf_robust.Pipeline
 module Placement = Tdf_netlist.Placement
 module Design = Tdf_netlist.Design
@@ -159,8 +158,7 @@ let recovery t = t.recovery
 (* ---- mutations and their journal records ----------------------------- *)
 
 (* A session-mutating request with every knob resolved: the budget after
-   the deadline cap, the radius and widening defaults, the session's
-   tiling where the request named none.  It is what a live request runs,
+   the deadline cap, the radius and widening defaults.  It is what a live request runs,
    what its journal record holds and what recovery re-runs, so there is
    one way to apply a mutation and one way to record it.  The type index
    is what {!apply} hands back for the live reply. *)
@@ -168,13 +166,11 @@ type _ mutation =
   | Load : {
       design : Design.t;
       placement : Placement.t;
-      tiles : int option;
     }
       -> unit mutation
   | Legalize : {
       budget_ms : int option;
       jobs : int option;
-      tiles : int option;
     }
       -> Pipeline.report mutation
   | Eco_delta : {
@@ -183,7 +179,6 @@ type _ mutation =
       max_widenings : int;
       budget_ms : int option;
       jobs : int option;
-      tiles : int option;
     }
       -> Eco.result_t mutation
 
@@ -199,33 +194,31 @@ let budget_of : type a. a mutation -> int option = function
    journaled as canonical native text whatever dialect arrived: replay
    has one parser and the digest pins the decoded state. *)
 let encode ~session ?digest op =
-  let knobs ~budget_ms ~jobs ~tiles =
+  let knobs ~budget_ms ~jobs =
     List.filter_map
       (fun (name, v) -> Option.map (fun v -> (name, Json.Int v)) v)
-      [ ("budget_ms", budget_ms); ("jobs", jobs); ("tiles", tiles) ]
+      [ ("budget_ms", budget_ms); ("jobs", jobs) ]
   in
   let name, fields =
     match op with
     | Evict -> ("evict", [])
-    | Apply (Load { design; placement; tiles }) ->
+    | Apply (Load { design; placement }) ->
       ( "load",
         [
           ("design", Json.String (Text.design_to_string design));
           ( "placement",
             Json.String (Text.placement_to_string design placement) );
-        ]
-        @ knobs ~budget_ms:None ~jobs:None ~tiles )
-    | Apply (Legalize { budget_ms; jobs; tiles }) ->
-      ("legalize", knobs ~budget_ms ~jobs ~tiles)
-    | Apply (Eco_delta { delta; radius; max_widenings; budget_ms; jobs; tiles })
-      ->
+        ] )
+    | Apply (Legalize { budget_ms; jobs }) ->
+      ("legalize", knobs ~budget_ms ~jobs)
+    | Apply (Eco_delta { delta; radius; max_widenings; budget_ms; jobs }) ->
       ( "eco",
         [
           ("delta", Json.String (Delta.to_string delta));
           ("radius", Json.Int radius);
           ("max_widenings", Json.Int max_widenings);
         ]
-        @ knobs ~budget_ms ~jobs ~tiles )
+        @ knobs ~budget_ms ~jobs )
   in
   let digest = Option.map (fun d -> ("digest", Json.String d)) digest in
   Json.to_string
@@ -243,7 +236,6 @@ let session_blob s =
           {
             design = Eco.Session.design s.sess;
             placement = Eco.Session.placement s.sess;
-            tiles = Eco.Session.tiles s.sess;
           }))
 
 (* ---- journaling ------------------------------------------------------ *)
@@ -420,12 +412,6 @@ let effective_budget t requested =
   | None, Some d -> Some d
   | b, None -> b
 
-(* Request override beats the session's tiling beats the process knob;
-   tiling never changes the placement, only wall clock. *)
-let session_tiles s = function
-  | None -> Eco.Session.tiles s.sess
-  | tiles -> tiles
-
 (* The one reader of {!encode}'s records.  The session comes back at once
    and the op on demand, so a record that recovery skips is parsed no
    further.  A snapshot blob ([snapshot_of] names its session) reads as a
@@ -457,15 +443,14 @@ let decode ?snapshot_of payload =
           | Error e -> fail "parse-error" "%s: %s" what e
         in
         let budget_ms = int "budget_ms" and jobs = int "jobs" in
-        let tiles = int "tiles" in
         let op =
           match name with
           | "evict" -> Evict
           | "load" ->
             let design = parsed "design" Text.read_design in
             let placement = parsed "placement" (Text.read_placement design) in
-            Apply (Load { design; placement; tiles })
-          | "legalize" -> Apply (Legalize { budget_ms; jobs; tiles })
+            Apply (Load { design; placement })
+          | "legalize" -> Apply (Legalize { budget_ms; jobs })
           | "eco" ->
             Apply
               (Eco_delta
@@ -475,7 +460,6 @@ let decode ?snapshot_of payload =
                    max_widenings = need int "max_widenings";
                    budget_ms;
                    jobs;
-                   tiles;
                  })
           | other -> fail "bad-record" "unknown journal op %s" other
         in
@@ -494,12 +478,11 @@ let apply : type a.
     | None -> fail "unknown-session" "no loaded session to mutate"
   in
   match m with
-  | Load { design; placement; tiles } ->
-    (Eco.Session.create ~cfg:t.cfg.eco ?tiles design placement, ())
-  | Legalize { budget_ms; jobs; tiles } -> (
+  | Load { design; placement } ->
+    (Eco.Session.create ~cfg:t.cfg.eco design placement, ())
+  | Legalize { budget_ms; jobs } -> (
     let sess = target () in
     Option.iter Tdf_par.set_jobs jobs;
-    Option.iter Tile.set_tiles tiles;
     let opts = { Pipeline.default_options with Pipeline.budget_ms } in
     match
       Pipeline.run ~opts ~cfg:t.cfg.eco.Eco.flow
@@ -509,17 +492,11 @@ let apply : type a.
     | Ok r ->
       Eco.Session.set_placement sess r.Pipeline.design r.Pipeline.placement;
       (sess, r))
-  | Eco_delta { delta; radius; max_widenings; budget_ms; jobs; tiles } -> (
+  | Eco_delta { delta; radius; max_widenings; budget_ms; jobs } -> (
     let sess = target () in
     Option.iter Tdf_par.set_jobs jobs;
     let cfg =
-      {
-        t.cfg.eco with
-        Eco.initial_radius = radius;
-        max_widenings;
-        budget_ms;
-        tiles;
-      }
+      { t.cfg.eco with Eco.initial_radius = radius; max_widenings; budget_ms }
     in
     match Eco.Session.eco ~cfg sess delta with
     | Error (Eco.Invalid_delta msg) -> fail "invalid-delta" "%s" msg
@@ -540,27 +517,6 @@ let stats_json t =
       ("errors", Json.Int t.errors);
       ("by_kind", Json.Obj kinds);
       ("sessions", Json.Int (Hashtbl.length t.sessions));
-      ( "tile",
-        let c = Tile.counters () in
-        Json.Obj
-          [
-            ("tiles", Json.Int (Tile.tiles ()));
-            ("passes", Json.Int c.Tile.passes);
-            ("reconciled", Json.Int c.Tile.reconciled);
-            ("conflicts", Json.Int c.Tile.conflicts);
-            ("live", Json.Int c.Tile.live);
-          ] );
-      ( "session_tiles",
-        Json.Obj
-          (Hashtbl.fold
-             (fun id s acc ->
-               ( id,
-                 match Eco.Session.tiles s.sess with
-                 | Some k -> Json.Int k
-                 | None -> Json.Null )
-               :: acc)
-             t.sessions []
-          |> List.sort compare) );
       ( "cache",
         Json.Obj
           [
@@ -619,7 +575,7 @@ let handle_req t (req : Protocol.request) : Protocol.response =
   | Protocol.Shutdown ->
     t.stop <- true;
     Ok Protocol.Shutting_down
-  | Protocol.Load_design { session; design; placement; tiles } ->
+  | Protocol.Load_design { session; design; placement; _ } ->
     let d = parse_design design in
     assert_design_roundtrip d;
     let p =
@@ -627,7 +583,7 @@ let handle_req t (req : Protocol.request) : Protocol.response =
       | Some src -> parse_placement d src
       | None -> Placement.initial d
     in
-    let m = Load { design = d; placement = p; tiles } in
+    let m = Load { design = d; placement = p } in
     let sess, () = apply t None m in
     let s = insert_session t session sess in
     record t s m;
@@ -639,16 +595,9 @@ let handle_req t (req : Protocol.request) : Protocol.response =
            n_nets = Array.length d.Design.nets;
            legal = Legality.is_legal d p;
          })
-  | Protocol.Legalize { session; budget_ms; jobs; tiles; want_placement } ->
+  | Protocol.Legalize { session; budget_ms; jobs; want_placement; _ } ->
     let s = required_session t session in
-    let m =
-      Legalize
-        {
-          budget_ms = effective_budget t budget_ms;
-          jobs;
-          tiles = session_tiles s tiles;
-        }
-    in
+    let m = Legalize { budget_ms = effective_budget t budget_ms; jobs } in
     let (_, r), wall_s = Timer.time (fun () -> apply t (Some s.sess) m) in
     (* Journal before the round-trip assertion below: the session state
        has already advanced, and the journal must mirror it even when
@@ -676,8 +625,8 @@ let handle_req t (req : Protocol.request) : Protocol.response =
         max_widenings;
         budget_ms;
         jobs;
-        tiles;
         want_placement;
+        _;
       } ->
     let s = required_session t session in
     let base = t.cfg.eco in
@@ -690,7 +639,6 @@ let handle_req t (req : Protocol.request) : Protocol.response =
             Option.value max_widenings ~default:base.Eco.max_widenings;
           budget_ms = effective_budget t budget_ms;
           jobs;
-          tiles = session_tiles s tiles;
         }
     in
     (* Snapshot so a post-hoc consistency failure can roll the warm

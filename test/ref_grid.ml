@@ -3,7 +3,7 @@
    arena, with state of its own.  A bin holds a [frag list], newest first;
    a cell holds a [(bin id, rho) list], most recently touched first.
    [touch], [add_frag], [sub_frag], [remove_cell], [move_fraction],
-   [move_whole], [compute_cur_disp], [reset], [clone] and [rebind] are
+   [move_whole], [compute_cur_disp], [reset] and [rebind] are
    verbatim copies of those list versions; [find_slot] and
    [distribute_in_segment] are the original full-segment walks (no binary
    search), which search both fragment lists on every add.  The model
@@ -318,20 +318,6 @@ let move_whole t ~cell ~dst =
   remove_cell t ~cell;
   add_frag t dst ~cell ~rho:1.0 ~w:(cell_width t ~cell ~die:d.G.die);
   t.cell_seg.(cell) <- d.G.seg
-
-let clone t =
-  {
-    t with
-    bins =
-      Array.map
-        (fun b -> { b with frags = List.map (fun f -> { f with rho = f.rho }) b.frags })
-        t.bins;
-    cell_frags = Array.copy t.cell_frags;
-    cell_seg = Array.copy t.cell_seg;
-    cell_disp = Array.copy t.cell_disp;
-    die_used = Array.copy t.die_used;
-    stamp = Array.copy t.stamp;
-  }
 
 let rebind t design =
   let gp_x, gp_y, widths = geometry design in

@@ -61,41 +61,6 @@ let test_flow3d_placements_invariant () =
       check_all_equal (Spec.suite_slug suite ^ "/" ^ case) runs)
     determinism_cases
 
-(* The tile-sharded entry point on the same five cases: for every tile
-   count, at every job count, the placement must equal the untiled run
-   byte for byte — tiling is a wall-clock strategy, never a result
-   change. *)
-let test_flow3d_tiled_placements_invariant () =
-  List.iter
-    (fun (suite, case) ->
-      let design =
-        Tdf_benchgen.Gen.generate ~scale:0.02 (Spec.find suite case)
-      in
-      let reference =
-        let r = Tdf_legalizer.Flow3d.legalize design in
-        Tdf_io.Text.placement_to_string design r.Tdf_legalizer.Flow3d.placement
-      in
-      List.iter
-        (fun tiles ->
-          let runs =
-            across_jobs (fun () ->
-                match Tdf_legalizer.Flow3d.run_tiled ~tiles design with
-                | Ok r ->
-                  Tdf_io.Text.placement_to_string design
-                    r.Tdf_legalizer.Flow3d.placement
-                | Error e ->
-                  Alcotest.fail (Tdf_legalizer.Flow3d.error_to_string e))
-          in
-          List.iteri
-            (fun i run ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s/%s: tiles=%d jobs=%d matches untiled"
-                   (Spec.suite_slug suite) case tiles (List.nth job_counts i))
-                reference run)
-            runs)
-        [ 2; 4; 9 ])
-    determinism_cases
-
 let test_baseline_placements_invariant () =
   (* Abacus' final PlaceRow loop is the other parallel placement path. *)
   let design =
@@ -173,8 +138,6 @@ let suite =
   [
     Alcotest.test_case "flow3d placements invariant (5 cases)" `Quick
       test_flow3d_placements_invariant;
-    Alcotest.test_case "flow3d tiled placements invariant (5 cases)" `Quick
-      test_flow3d_tiled_placements_invariant;
     Alcotest.test_case "abacus placement invariant" `Quick
       test_baseline_placements_invariant;
     Alcotest.test_case "experiments grid invariant" `Quick

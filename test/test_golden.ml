@@ -42,10 +42,9 @@ let scales = [ 0.1; 0.25 ]
 
 let variants =
   [
-    ("default", Config.default, None);
-    ("no_d2d", Config.no_d2d, None);
-    ("bonn_emulation", Config.bonn_emulation, None);
-    ("tiles4", Config.default, Some 4);
+    ("default", Config.default);
+    ("no_d2d", Config.no_d2d);
+    ("bonn_emulation", Config.bonn_emulation);
   ]
 
 let digest design p =
@@ -54,8 +53,8 @@ let digest design p =
 let key (suite, case) scale what =
   Printf.sprintf "%s/%s %.2f %s" (Spec.suite_slug suite) case scale what
 
-let legalize ?tiles cfg design =
-  match Flow3d.run ~cfg ?tiles design with
+let legalize cfg design =
+  match Flow3d.run ~cfg design with
   | Ok r -> r.Flow3d.placement
   | Error e -> Alcotest.fail (Flow3d.error_to_string e)
 
@@ -123,8 +122,8 @@ let computed () =
           (fun scale ->
             let design = Gen.generate ~scale (Spec.find (fst case) (snd case)) in
             List.map
-              (fun (name, cfg, tiles) ->
-                (key case scale name, digest design (legalize ?tiles cfg design)))
+              (fun (name, cfg) ->
+                (key case scale name, digest design (legalize cfg design)))
               variants)
           scales)
       cases

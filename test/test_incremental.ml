@@ -459,38 +459,6 @@ let prop_eco_deterministic_across_jobs =
       in
       eq p1 p2 && eq p1 p8)
 
-(* Tile-sharded masked passes inside the ECO pipeline must also be
-   invisible: [cfg.tiles] is a wall-clock knob, never a result change. *)
-let prop_eco_deterministic_across_tiles =
-  Props.test "identical placements at tiles 1/2/4 x jobs 1/4" ~count:8
-    (Props.int_range 0 1_000_000) (fun seed ->
-      let d = Fixtures.random ~n:40 seed in
-      let prev = (Flow3d.legalize d).Flow3d.placement in
-      let rng = Prng.create (seed + 29) in
-      let delta = random_delta rng d in
-      let run_at ~tiles ~jobs =
-        Tdf_par.set_jobs jobs;
-        Fun.protect
-          ~finally:(fun () -> Tdf_par.set_jobs 1)
-          (fun () ->
-            let cfg = { Eco.default_cfg with Eco.tiles = Some tiles } in
-            match Eco.run ~cfg d prev delta with
-            | Ok r -> r.Eco.placement
-            | Error e -> failwith (Eco.error_to_string e))
-      in
-      let reference = run_at ~tiles:1 ~jobs:1 in
-      let eq a b =
-        a.Placement.x = b.Placement.x
-        && a.Placement.y = b.Placement.y
-        && a.Placement.die = b.Placement.die
-      in
-      List.for_all
-        (fun tiles ->
-          List.for_all
-            (fun jobs -> eq reference (run_at ~tiles ~jobs))
-            [ 1; 4 ])
-        [ 2; 4 ])
-
 let suite =
   [
     Alcotest.test_case "delta round-trip" `Quick test_delta_roundtrip;
@@ -514,5 +482,4 @@ let suite =
     prop_eco_legal;
     prop_eco_displacement_bounded;
     prop_eco_deterministic_across_jobs;
-    prop_eco_deterministic_across_tiles;
   ]

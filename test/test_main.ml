@@ -24,7 +24,6 @@ let () =
       ("experiments", Test_experiments.suite);
       ("adversarial", Test_adversarial.suite);
       ("robust", Test_robust.suite);
-      ("tile", Test_tile.suite);
       ("determinism", Test_determinism.suite);
       ("golden", Test_golden.suite);
       ("integration", Test_integration.suite);

@@ -182,21 +182,14 @@ let compare_json ?(max_regression = 1.25) ?(inject_slowdown = 1.0) ~baseline
     if sb <> sc then fail "baseline and current are different benchmark kinds";
     match sb with
     | `Parallel ->
-      (* Two keyed sweeps (jobs and tiles) plus the top-level determinism
-         bit; each run contributes one wall-clock check. *)
+      (* One sweep keyed by jobs plus the top-level determinism bit; each
+         run contributes one wall-clock check. *)
       let wall =
         [ { p_name = "wall_s"; p_kind = Time; p_read = float_field "wall_s" } ]
       in
-      let sweep ~section ~key ~list_name =
-        let idx j = keyed_int ~key (list_field list_name j) in
-        pair_up ~section (idx baseline) (idx current)
-      in
-      let jp, s1 = sweep ~section:"parallel/jobs" ~key:"jobs" ~list_name:"runs" in
-      let tp, s2 =
-        sweep ~section:"parallel/tiles" ~key:"tiles" ~list_name:"tile_runs"
-      in
-      if jp = [] && tp = [] then
-        fail "no overlapping cases between baseline and current";
+      let idx j = keyed_int ~key:"jobs" (list_field "runs" j) in
+      let jp, skipped = pair_up ~section:"parallel/jobs" (idx baseline) (idx current) in
+      if jp = [] then fail "no overlapping cases between baseline and current";
       let det =
         [
           {
@@ -215,19 +208,8 @@ let compare_json ?(max_regression = 1.25) ?(inject_slowdown = 1.0) ~baseline
                 ~prefix:("parallel/jobs=" ^ name)
                 wall b c)
             jp
-        @ List.concat_map
-            (fun (name, b, c) ->
-              judge ~max_regression ~inject_slowdown
-                ~prefix:("parallel/tiles=" ^ name)
-                wall b c)
-            tp
       in
-      Ok
-        {
-          checks;
-          skipped = s1 @ s2;
-          passed = List.for_all (fun c -> c.ok) checks;
-        }
+      Ok { checks; skipped; passed = List.for_all (fun c -> c.ok) checks }
     | (`Solver | `Eco | `Serve) as sb ->
       let section, key, probes, list_name =
         match sb with

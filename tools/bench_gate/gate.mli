@@ -23,9 +23,9 @@
     - {b parallel} ([BENCH_parallel.json], recognized by its
       [recommended_domain_count] field — it also carries a [runs] list, so
       the test precedes the eco fallback): the grid must stay
-      [deterministic] across every jobs {e and} tiles setting, and each
-      sweep entry's [wall_s] (keyed by [jobs] / [tiles]) may grow by at
-      most the regression factor.
+      [deterministic] across every jobs setting, and each sweep entry's
+      [wall_s] (keyed by [jobs]) may grow by at most the regression
+      factor.
 
     Cases present in only one of the files are reported but not fatal
     (benchmarks gain cases over time); a baseline/current pair with {e no}

@@ -194,9 +194,7 @@ let () =
            session;
            design = Protocol.Path (file "d0.design");
            placement = Some (Protocol.Path (file "p0.place"));
-           (* Tiled sessions must replay byte-stably too: tiling is a
-              wall-clock knob, so recovery digests cannot drift. *)
-           tiles = Some 2;
+           tiles = None;
          }
       :: Protocol.Legalize
            {
