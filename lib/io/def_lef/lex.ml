@@ -190,10 +190,13 @@ let rec skip_statement cur =
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* Numbers: the plain decimal forms the writers emit are read in place;
-   anything else (signs, prefixes, exponents, underscores, more digits)
-   goes through the stdlib conversion of a copy, which also decides what
-   is an error. *)
+(* Numbers are DEF decimals: [-?digits] for an integer,
+   [-?digits[.digits][(e|E)[+-]digits]] for a number.  Anything else —
+   OCaml's [0x]/[0o]/[0b] prefixes, [_] separators, a leading [+],
+   [nan], [inf] — is an error, although the stdlib conversions would take
+   it.  Short plain forms, which the writers emit, are read in place; the
+   long ones and exponents go through the stdlib conversion of a copy,
+   which for an integer also rejects what overflows. *)
 let int cur t =
   let text = cur.text and e = tok_end cur t in
   let i0 = if String.unsafe_get text t = '-' then t + 1 else t in
@@ -202,10 +205,11 @@ let int cur t =
     v := (!v * 10) + Char.code (String.unsafe_get text !i) - 48;
     incr i
   done;
-  if !i = e && e - i0 >= 1 && e - i0 <= 18 then if i0 > t then - !v else !v
+  let plain = !i = e && e > i0 in
+  if plain && e - i0 <= 18 then if i0 > t then - !v else !v
   else
     let s = String.sub text t (e - t) in
-    match int_of_string_opt s with
+    match if plain then int_of_string_opt s else None with
     | Some v -> v
     | None -> fail "line %d: expected integer, got %S" (line_of cur t) s
 
@@ -214,33 +218,48 @@ let int cur t =
    correctly, as the stdlib conversion does. *)
 let pow10 = Array.init 16 (fun k -> float_of_string ("1e" ^ string_of_int k))
 
+(* Whether byte [i] of a token ending at [e] is one of [cs]. *)
+let byte_in text e i cs = i < e && String.contains cs (String.unsafe_get text i)
+
+let digit_at text e i = i < e && is_digit (String.unsafe_get text i)
+
 let float cur t =
   let text = cur.text and e = tok_end cur t in
   let i0 = if String.unsafe_get text t = '-' then t + 1 else t in
-  (* digits, then optionally '.' and more digits *)
+  (* digits, then optionally '.' and digits, then optionally an exponent *)
   let m = ref 0 and nd = ref 0 and k = ref 0 and i = ref i0 in
-  while !i < e && is_digit (String.unsafe_get text !i) do
+  while digit_at text e !i do
     m := (!m * 10) + Char.code (String.unsafe_get text !i) - 48;
     incr nd;
     incr i
   done;
-  if !nd >= 1 && !i < e && String.unsafe_get text !i = '.' then begin
+  let ok = ref (!nd >= 1) in
+  if !ok && byte_in text e !i "." then begin
     incr i;
-    while !i < e && is_digit (String.unsafe_get text !i) do
+    ok := digit_at text e !i;
+    while digit_at text e !i do
       m := (!m * 10) + Char.code (String.unsafe_get text !i) - 48;
       incr nd;
       incr k;
       incr i
     done
   end;
-  if !i = e && !nd >= 1 && !nd <= 15 then
+  let exponent = !ok && byte_in text e !i "eE" in
+  if exponent then begin
+    incr i;
+    if byte_in text e !i "+-" then incr i;
+    ok := digit_at text e !i;
+    while digit_at text e !i do
+      incr i
+    done
+  end;
+  if not (!ok && !i = e) then
+    fail "line %d: expected number, got %S" (line_of cur t)
+      (String.sub text t (e - t))
+  else if (not exponent) && !nd <= 15 then
     let v = float_of_int !m /. pow10.(!k) in
     if i0 > t then -.v else v
-  else
-    let s = String.sub text t (e - t) in
-    match float_of_string_opt s with
-    | Some v -> v
-    | None -> fail "line %d: expected number, got %S" (line_of cur t) s
+  else float_of_string (String.sub text t (e - t))
 
 let extensions cur =
   while not (at_end cur) do

@@ -66,12 +66,16 @@ val line_of : cursor -> tok -> int
 (** The token's source line. *)
 
 val int : cursor -> tok -> int
-(** The token as [int_of_string] reads it; fails with
-    ["line %d: expected integer, got %S"]. *)
+(** The token as a DEF integer, [-?digits], valued as [int_of_string]
+    values it; fails with ["line %d: expected integer, got %S"] on any
+    other syntax (OCaml's [0x] prefixes, [_], a leading [+]) and on
+    overflow. *)
 
 val float : cursor -> tok -> float
-(** The token as [float_of_string] reads it; fails with
-    ["line %d: expected number, got %S"]. *)
+(** The token as a DEF number, [-?digits[.digits][(e|E)[+-]digits]],
+    valued as [float_of_string] values it; fails with
+    ["line %d: expected number, got %S"] on any other syntax ([nan],
+    [inf], [0x] prefixes, [_], a leading [+], a bare or trailing [.]). *)
 
 (** {1 Extension comments} *)
 

@@ -3,7 +3,10 @@
    before the cursor matched tokens in place and [Def.to_design] built
    arrays, kept only under test/ so the current ones can be checked for
    the same [Ok] value or the same [Error] string.  The result types are
-   the library's own. *)
+   the library's own.  One change from the verbatim copies: [int_of] and
+   [float_of] reject what is not a DEF decimal ({!Lex.def_int},
+   {!Lex.def_number}) before the stdlib conversion, as the current
+   reader does; the stdlib alone took [0x10], [1_000], [+8] and [nan]. *)
 
 module Lex : sig
     exception Parse of string
@@ -41,6 +44,12 @@ module Lex : sig
         whole input in order: one [(line, words)] entry per comment whose
         first word starts with ["tdflow."], the ["#"] itself stripped and the
         words split like tokens. *)
+
+    val def_int : string -> bool
+    (** [-?digits] *)
+
+    val def_number : string -> bool
+    (** [-?digits[.digits][(e|E)[+-]digits]] *)
 
     val int_of : line:int -> string -> int
     val float_of : line:int -> string -> float
@@ -190,13 +199,43 @@ end = struct
     cur.ahead <- None;
     List.rev cur.exts
 
+  (* end of the run of digits starting at [i] *)
+  let rec digits s i =
+    if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then digits s (i + 1)
+    else i
+
+  let sign s = if s <> "" && s.[0] = '-' then 1 else 0
+
+  let def_int s =
+    let i = sign s in
+    let j = digits s i in
+    j > i && j = String.length s
+
+  let def_number s =
+    let n = String.length s and i = sign s in
+    let j = digits s i in
+    (* past the fraction, or -1 when the form is already wrong *)
+    let j =
+      if j = i then -1
+      else if j < n && s.[j] = '.' then
+        let k = digits s (j + 1) in
+        if k > j + 1 then k else -1
+      else j
+    in
+    if j < 0 then false
+    else if j < n && (s.[j] = 'e' || s.[j] = 'E') then
+      let k = if j + 1 < n && (s.[j + 1] = '+' || s.[j + 1] = '-') then j + 2 else j + 1 in
+      let l = digits s k in
+      l > k && l = n
+    else j = n
+
   let int_of ~line s =
-    match int_of_string_opt s with
+    match if def_int s then int_of_string_opt s else None with
     | Some v -> v
     | None -> fail "line %d: expected integer, got %S" line s
 
   let float_of ~line s =
-    match float_of_string_opt s with
+    match if def_number s then float_of_string_opt s else None with
     | Some v -> v
     | None -> fail "line %d: expected number, got %S" line s
 end

@@ -149,6 +149,34 @@ let test_def_errors_typed () =
       | Ok _ -> Alcotest.failf "expected a parse error for %S" text)
     cases
 
+(* Numbers are DEF decimals.  OCaml's literal syntax, which the stdlib
+   conversions accept, is a typed error naming the token, in statements
+   and in extension comments alike. *)
+let test_def_number_syntax () =
+  let base = "DESIGN d ;\nUNITS DISTANCE MICRONS 1 ;\n" in
+  List.iter
+    (fun (body, want) ->
+      match Def.read (base ^ body ^ "\nEND DESIGN") with
+      | Error e -> Alcotest.(check string) body want e
+      | Ok _ -> Alcotest.failf "expected a parse error for %S" body)
+    [
+      ("DIEAREA ( 0x10 0 ) ( 1_000 +8 ) ;", {|line 3: expected integer, got "0x10"|});
+      ("DIEAREA ( 16 0 ) ( 1_000 8 ) ;", {|line 3: expected integer, got "1_000"|});
+      ("DIEAREA ( 16 0 ) ( 1000 +8 ) ;", {|line 3: expected integer, got "+8"|});
+      ( "DIEAREA ( 0 0 ) ( 9 9 ) ;\n# tdflow.gp c1 1 2 nan",
+        {|line 4: expected number, got "nan"|} );
+      ( "DIEAREA ( 0 0 ) ( 9 9 ) ;\n# tdflow.max_util 1.",
+        {|line 4: expected number, got "1."|} );
+    ];
+  (* long but valid decimals still read through the stdlib *)
+  match
+    Def.read
+      (base ^ "DIEAREA ( 0000000000000000000000 -0 ) ( 10 10 ) ;\n"
+     ^ "# tdflow.max_util 0.12345678901234567890e1\nEND DESIGN")
+  with
+  | Ok d -> Alcotest.(check (option (float 0.))) "max_util" (Some 1.2345678901234567) d.Def.max_util
+  | Error e -> Alcotest.failf "long decimals rejected: %s" e
+
 (* ---- converters ---------------------------------------------------- *)
 
 let test_example_to_design () =
@@ -501,6 +529,7 @@ let suite =
     Alcotest.test_case "lef: typed parse errors" `Quick test_lef_errors_typed;
     Alcotest.test_case "def: example fields" `Quick test_def_example_fields;
     Alcotest.test_case "def: typed parse errors" `Quick test_def_errors_typed;
+    Alcotest.test_case "def: numbers are DEF decimals" `Quick test_def_number_syntax;
     Alcotest.test_case "to_design: example pair" `Quick test_example_to_design;
     Alcotest.test_case "to_design: typed converter errors" `Quick
       test_to_design_errors;
