@@ -9,7 +9,9 @@
      eco       incremental ECO vs from-scratch latency
      serve     warm daemon vs one-shot CLI chain
      paper     Tables II-V, Fig. 7, Fig. 8, ablations and telemetry
-   Suites run in the order given; with none named, all five run in the
+     scaling   runtime and search effort of every method on ICCAD 2023
+               case4 at scales 0.02 0.05 0.1 0.2
+   Suites run in the order given; with none named, all six run in the
    order above.  --scale S (default 0.05) sizes the parallel and paper
    cases.  A bad suite name or scale exits 2 before any suite runs.
 
@@ -859,6 +861,15 @@ let run_paper ~scale =
     (write_json "BENCH_telemetry.json" json)
 
 (* ------------------------------------------------------------------ *)
+(* Scaling study: runtime vs size, at its own scales                   *)
+(* ------------------------------------------------------------------ *)
+
+let run_scaling () =
+  print_string
+    (Tdf_experiments.Scaling.render
+       (Tdf_experiments.Scaling.run Tdf_benchgen.Spec.Iccad2023 "case4"))
+
+(* ------------------------------------------------------------------ *)
 (* Command line: the suites to run and the case scale                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -869,6 +880,7 @@ let suites =
     ("eco", fun ~scale:_ -> run_eco_bench ());
     ("serve", fun ~scale:_ -> run_serve_bench ());
     ("paper", run_paper);
+    ("scaling", fun ~scale:_ -> run_scaling ());
   ]
 
 let () =
@@ -894,8 +906,8 @@ let () =
         "S  case scale for the parallel and paper suites (default 0.05)" );
     ]
     add_suite
-    "main.exe [solver|parallel|eco|serve|paper]... [--scale S]\n\
-     Runs the named suites in order, or all five when none is named.\n\
+    "main.exe [solver|parallel|eco|serve|paper|scaling]... [--scale S]\n\
+     Runs the named suites in order, or all six when none is named.\n\
      Artifacts land under out/.";
   let chosen =
     match !chosen with [] -> List.map snd suites | l -> List.rev l

@@ -4,7 +4,6 @@
      legalize run      — legalize a design file with a chosen method
      legalize check    — audit a placement for legality
      legalize compare  — run all methods on a design and print a table
-     legalize tables   — regenerate the paper's tables/figures
      legalize viz      — render a die of a placement as SVG
      legalize eco      — incrementally re-legalize after an ECO delta
      legalize serve    — persistent legalization daemon on a Unix socket
@@ -273,12 +272,6 @@ let run_cmd =
       & opt (some float) None
       & info [ "alpha" ] ~docv:"A" ~doc:"Branch-and-bound slack (default 0.1).")
   in
-  let refine =
-    Arg.(
-      value & flag
-      & info [ "refine" ]
-          ~doc:"Run the legality-preserving HPWL refinement afterwards.")
-  in
   let strict =
     Arg.(
       value & flag
@@ -311,7 +304,7 @@ let run_cmd =
                 Tetris degradation) for method `ours'; a failed run \
                 reports its error instead.")
   in
-  let run () design_path meth output alpha refine strict repair budget_ms
+  let run () design_path meth output alpha strict repair budget_ms
       no_fallback tele =
     with_telemetry tele @@ fun () ->
     let design = load_design design_path in
@@ -335,13 +328,6 @@ let run_cmd =
         dt
         (Tdf_metrics.Legality.is_legal design p)
         extra;
-      if refine then begin
-        let r = Tdf_refine.Refine.run design p in
-        Printf.printf "refine: HPWL %.0f -> %.0f (%d moves), legal %b\n"
-          r.Tdf_refine.Refine.hpwl_before r.Tdf_refine.Refine.hpwl_after
-          (r.Tdf_refine.Refine.slides + r.Tdf_refine.Refine.swaps)
-          (Tdf_metrics.Legality.is_legal design p)
-      end;
       Option.iter (fun path -> Tdf_io.Text.save_placement path design p) output
     in
     match meth with
@@ -400,8 +386,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Legalize a design with one method.")
     Term.(
-      const run $ knobs_term $ design_arg $ meth $ output $ alpha $ refine
-      $ strict $ repair $ budget_ms $ no_fallback $ telemetry_term)
+      const run $ knobs_term $ design_arg $ meth $ output $ alpha $ strict
+      $ repair $ budget_ms $ no_fallback $ telemetry_term)
 
 (* ---- check -------------------------------------------------------- *)
 
@@ -443,75 +429,6 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare" ~doc:"Run every legalizer on a design and tabulate.")
     Term.(const run $ jobs_term $ design_arg $ telemetry_term)
-
-(* ---- tables ------------------------------------------------------- *)
-
-let tables_cmd =
-  let which =
-    Arg.(
-      value & opt string "all"
-      & info [ "t"; "table" ] ~docv:"N" ~doc:"Which item: 2, 3, 4, 5, 7, scaling or all.")
-  in
-  let run () which scale tele =
-    with_telemetry tele @@ fun () ->
-    let t2 () = print_string (Tdf_experiments.Tables.table2 ~scale ()) in
-    (* Each suite is legalized at most once: Table III/IV and Fig. 7 are
-       two views of the same runs. *)
-    let suite s = lazy (Tdf_experiments.Runner.run_suite ~scale s) in
-    let iccad2022 = suite Tdf_benchgen.Spec.Iccad2022 in
-    let iccad2023 = suite Tdf_benchgen.Spec.Iccad2023 in
-    let t3 () =
-      print_string
-        (Tdf_experiments.Tables.comparison ~title:"TABLE III (ICCAD 2022)"
-           (Lazy.force iccad2022))
-    in
-    let t4 () =
-      print_string
-        (Tdf_experiments.Tables.comparison ~title:"TABLE IV (ICCAD 2023)"
-           (Lazy.force iccad2023))
-    in
-    let t5 () =
-      let r =
-        Tdf_experiments.Runner.run_suite
-          ~methods:
-            [ Tdf_experiments.Runner.Ours_no_d2d; Tdf_experiments.Runner.Ours ]
-          ~scale Tdf_benchgen.Spec.Iccad2023
-      in
-      print_string (Tdf_experiments.Tables.ablation r)
-    in
-    let f7 () =
-      print_string
-        (Tdf_experiments.Figures.fig7 ~title:"FIG 7(a) ICCAD 2022"
-           (Lazy.force iccad2022));
-      print_string
-        (Tdf_experiments.Figures.fig7 ~title:"FIG 7(b) ICCAD 2023"
-           (Lazy.force iccad2023))
-    in
-    let scaling () =
-      print_string
-        (Tdf_experiments.Scaling.render
-           (Tdf_experiments.Scaling.run Tdf_benchgen.Spec.Iccad2023 "case4"))
-    in
-    match which with
-    | "2" -> t2 ()
-    | "3" -> t3 ()
-    | "4" -> t4 ()
-    | "5" -> t5 ()
-    | "7" -> f7 ()
-    | "scaling" -> scaling ()
-    | "all" ->
-      t2 ();
-      t3 ();
-      t4 ();
-      t5 ();
-      f7 ()
-    | s ->
-      Printf.eprintf "error: unknown table %s\n" s;
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Regenerate the paper's tables and Fig. 7.")
-    Term.(const run $ jobs_term $ which $ scale_arg $ telemetry_term)
 
 (* ---- viz ---------------------------------------------------------- *)
 
@@ -666,40 +583,6 @@ let eco_cmd =
       const run $ knobs_term $ design_arg $ placement $ delta $ output
       $ out_design $ radius $ max_widenings $ no_fallback $ budget_ms
       $ telemetry_term)
-
-(* ---- place -------------------------------------------------------- *)
-
-let place_cmd =
-  let iterations =
-    Arg.(
-      value & opt int 60
-      & info [ "iterations" ] ~docv:"N" ~doc:"Global-placement iterations.")
-  in
-  let output =
-    Arg.(
-      value & opt string "placed.design"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the design with the fresh global placement here.")
-  in
-  let run design_path iterations output =
-    let design = load_design design_path in
-    let r = Tdf_placer.Gp3d.place ~iterations design in
-    (* The trace is empty when iterations = 0; don't crash on it. *)
-    (match r.Tdf_placer.Gp3d.hpwl_trace with
-    | [] -> ()
-    | (first :: _) as trace ->
-      let last = List.nth trace (List.length trace - 1) in
-      Printf.printf "gp3d: HPWL %.0f -> %.0f over %d iterations\n" first last
-        iterations);
-    Tdf_io.Text.save_design output (Tdf_placer.Gp3d.apply design r);
-    Printf.printf "wrote %s\n" output
-  in
-  Cmd.v
-    (Cmd.info "place"
-       ~doc:
-         "Compute a fresh true-3D global placement for a design's netlist \
-          (ignores its current gp positions).")
-    Term.(const run $ design_arg $ iterations $ output)
 
 (* ---- serve --------------------------------------------------------- *)
 
@@ -1200,9 +1083,8 @@ let () =
     try
       Cmd.eval ~catch:false
         (Cmd.group info
-           [ gen_cmd; run_cmd; check_cmd; compare_cmd; tables_cmd; viz_cmd;
-             place_cmd; eco_cmd; import_cmd; export_cmd; serve_cmd;
-             client_cmd; version_cmd ])
+           [ gen_cmd; run_cmd; check_cmd; compare_cmd; viz_cmd; eco_cmd;
+             import_cmd; export_cmd; serve_cmd; client_cmd; version_cmd ])
     with
     | Tdf_server.Server.Recovery_error e ->
       Printf.eprintf "legalize: recovery failed: %s\n"

@@ -118,7 +118,7 @@ let test_infeasible_reports_residual () =
     (Legality.is_legal d r.Flow3d.placement)
 
 let test_huge_net () =
-  (* one net touching every cell: HPWL and refinement must cope *)
+  (* one net touching every cell: the legalizer must cope *)
   let cells =
     Array.init 50 (fun id -> Fixtures.cell ~id ~x:(id * 2) ~y:(id mod 40) ~z:0.4 ())
   in
@@ -128,9 +128,7 @@ let test_huge_net () =
   let d = Design.make ~name:"bignet" ~dies:(two_dies ()) ~cells ~nets () in
   let r = Flow3d.legalize d in
   let p = r.Flow3d.placement in
-  Alcotest.(check bool) "legal" true (Legality.is_legal d p);
-  let _ = Tdf_refine.Refine.run d p in
-  Alcotest.(check bool) "legal after refine" true (Legality.is_legal d p)
+  Alcotest.(check bool) "legal" true (Legality.is_legal d p)
 
 let test_degenerate_bin_width () =
   (* bin width 1: thousands of bins, fractional churn *)

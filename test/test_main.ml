@@ -19,8 +19,6 @@ let () =
       ("tokenize", Test_tokenize.suite);
       ("bonding", Test_bonding.suite);
       ("contest", Test_contest.suite);
-      ("refine", Test_refine.suite);
-      ("placer", Test_placer.suite);
       ("experiments", Test_experiments.suite);
       ("adversarial", Test_adversarial.suite);
       ("robust", Test_robust.suite);
