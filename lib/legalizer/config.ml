@@ -1,7 +1,6 @@
 type t = {
   alpha : float;
   bin_width_factor : float;
-  post_bin_width_factor : float;
   d2d_edges : bool;
   allow_negative_cost : bool;
   exhaustive : bool;
@@ -16,7 +15,6 @@ let default =
   {
     alpha = 0.1;
     bin_width_factor = 10.;
-    post_bin_width_factor = 5.;
     d2d_edges = true;
     allow_negative_cost = true;
     exhaustive = false;

@@ -12,9 +12,6 @@ type t = {
   bin_width_factor : float;
       (** bin width w_v as a multiple of the average cell width w̄_c during
           flow legalization; 10 in the paper. *)
-  post_bin_width_factor : float;
-      (** finer bin width multiple during post-optimization; 5 in the
-          paper. *)
   d2d_edges : bool;  (** allow die-to-die movement (Table V ablation). *)
   allow_negative_cost : bool;
       (** keep negative movement costs (moves back toward initial
@@ -39,8 +36,9 @@ type t = {
 }
 
 val default : t
-(** The paper's configuration: α = 0.1, w_v = 10·w̄_c (5·w̄_c in post-opt),
-    D2D on, negative costs on, post-opt on. *)
+(** The paper's configuration: α = 0.1, w_v = 10·w̄_c, D2D on, negative
+    costs on, post-opt on.  Post-opt always runs at 5·w̄_c
+    ([Flow3d.run]). *)
 
 val no_d2d : t
 (** [default] without die-to-die edges — the "w/o. D2D" column of

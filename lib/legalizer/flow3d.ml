@@ -269,6 +269,10 @@ let count_d2d design (p : Placement.t) =
   done;
   !count
 
+(* Post-optimization re-legalizes on a finer grid than the flow pass:
+   w_v = 5·w̄_c (§III-F). *)
+let post_opt_bin_factor = 5.
+
 let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
     design =
   Tdf_telemetry.span "flow3d.legalize" @@ fun () ->
@@ -313,7 +317,7 @@ let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
               victims;
             let p', aug', exp', failed', reliefs', residual', complete', grid' =
               one_pass cfg ~budget design
-                ~bin_factor:cfg.Config.post_bin_width_factor ?reuse:!post_grid
+                ~bin_factor:post_opt_bin_factor ?reuse:!post_grid
                 !p ~targets ()
             in
             post_grid := Some grid';
