@@ -69,10 +69,14 @@ type t = {
 (* ( <x> <y> ) *)
 let parse_point cur =
   expect cur "(";
-  let x = next cur "point" in
-  let y = next cur "point" in
+  let xt = next cur "point" in
+  let yt = next cur "point" in
   expect cur ")";
-  (int cur x, int cur y)
+  (* One [let] per value: tuple components are evaluated right to left,
+     and a diagnostic must name the first bad number on the line. *)
+  let x = int cur xt in
+  let y = int cur yt in
+  (x, y)
 
 (* Nearly every orientation is "N": share the literal. *)
 let orient cur o = if equal cur o "N" then "N" else word cur o
@@ -325,6 +329,9 @@ let parse cur =
       let ct = next cur "ROW count" in
       expect cur "BY";
       let bt = next cur "ROW" in
+      let x = int cur xt in
+      let y = int cur yt in
+      let count = int cur ct in
       if int cur bt <> 1 then
         fail "line %d: ROW %s: only DO <n> BY 1 rows are in the subset"
           (line_of cur t) name;
@@ -342,10 +349,10 @@ let parse cur =
         {
           r_name = name;
           r_site = site;
-          r_x = int cur xt;
-          r_y = int cur yt;
+          r_x = x;
+          r_y = y;
           r_orient = orient;
-          r_count = int cur ct;
+          r_count = count;
           r_step = step;
         }
         :: !rows;
@@ -408,17 +415,13 @@ let parse cur =
         max_util := Some (float c ws.(1))
       end
       else if equal c kw "tdflow.gp" then begin
-        if n = 5 then
-          gp :=
-            (word c ws.(1), (int c ws.(2), int c ws.(3), float c ws.(4), 1.0))
-            :: !gp
-        else if n = 6 then
-          gp :=
-            ( word c ws.(1),
-              (int c ws.(2), int c ws.(3), float c ws.(4), float c ws.(5)) )
-            :: !gp
-        else
-          fail "line %d: tdflow.gp wants '<comp> <x> <y> <z> [<weight>]'" line
+        if n <> 5 && n <> 6 then
+          fail "line %d: tdflow.gp wants '<comp> <x> <y> <z> [<weight>]'" line;
+        let x = int c ws.(2) in
+        let y = int c ws.(3) in
+        let z = float c ws.(4) in
+        let w = if n = 6 then float c ws.(5) else 1.0 in
+        gp := (word c ws.(1), (x, y, z, w)) :: !gp
       end
       else fail "line %d: unknown extension comment %S" line (word c kw))
     (extensions cur);

@@ -25,7 +25,10 @@ let parse_size cur =
   expect cur "BY";
   let h = next cur "SIZE" in
   expect cur ";";
-  (int cur w, int cur h)
+  (* In source order: tuple components are evaluated right to left. *)
+  let w = int cur w in
+  let h = int cur h in
+  (w, h)
 
 (* Body shared by SITE and MACRO up to END <name>; returns (class, size).
    [skip_blocks] enables the MACRO-only nested PIN/OBS constructs. *)

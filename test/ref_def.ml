@@ -3,10 +3,13 @@
    before the cursor matched tokens in place and [Def.to_design] built
    arrays, kept only under test/ so the current ones can be checked for
    the same [Ok] value or the same [Error] string.  The result types are
-   the library's own.  One change from the verbatim copies: [int_of] and
-   [float_of] reject what is not a DEF decimal ({!Lex.def_int},
-   {!Lex.def_number}) before the stdlib conversion, as the current
-   reader does; the stdlib alone took [0x10], [1_000], [+8] and [nan]. *)
+   the library's own.  Two changes from the verbatim copies, both made in
+   the current reader too: [int_of] and [float_of] reject what is not a
+   DEF decimal ({!Lex.def_int}, {!Lex.def_number}) before the stdlib
+   conversion (the stdlib alone took [0x10], [1_000], [+8] and [nan]);
+   and the numbers of a point, a LEF SIZE, a ROW and a [tdflow.gp] are
+   converted in source order, so an error names the first bad one (a
+   tuple's components are evaluated right to left). *)
 
 module Lex : sig
     exception Parse of string
@@ -266,7 +269,9 @@ module Lef = struct
     expect cur "BY";
     let h = next cur "SIZE" in
     expect cur ";";
-    (int_of ~line:w.line w.word, int_of ~line:h.line h.word)
+    let w = int_of ~line:w.line w.word in
+    let h = int_of ~line:h.line h.word in
+    (w, h)
 
   (* Body shared by SITE and MACRO up to END <name>; returns (class, size).
      [skip_blocks] enables the MACRO-only nested PIN/OBS constructs. *)
@@ -481,7 +486,9 @@ module Def = struct
     let x = next cur "point" in
     let y = next cur "point" in
     expect cur ")";
-    (int_of ~line:x.line x.word, int_of ~line:y.line y.word)
+    let x = int_of ~line:x.line x.word in
+    let y = int_of ~line:y.line y.word in
+    (x, y)
 
   (* PLACED/FIXED ( x y ) <orient>, or UNPLACED. *)
   let parse_status cur t =
@@ -715,6 +722,9 @@ module Def = struct
         let ct = next cur "ROW count" in
         expect cur "BY";
         let bt = next cur "ROW" in
+        let x = int_of ~line:xt.line xt.word in
+        let y = int_of ~line:yt.line yt.word in
+        let count = int_of ~line:ct.line ct.word in
         if int_of ~line:bt.line bt.word <> 1 then
           fail "line %d: ROW %s: only DO <n> BY 1 rows are in the subset"
             t.line name;
@@ -732,10 +742,10 @@ module Def = struct
           {
             r_name = name;
             r_site = site;
-            r_x = int_of ~line:xt.line xt.word;
-            r_y = int_of ~line:yt.line yt.word;
+            r_x = x;
+            r_y = y;
             r_orient = orient;
-            r_count = int_of ~line:ct.line ct.word;
+            r_count = count;
             r_step = step;
           }
           :: !rows;
@@ -782,15 +792,16 @@ module Def = struct
         | "tdflow.max_util" :: _ ->
           fail "line %d: tdflow.max_util wants one number" line
         | [ "tdflow.gp"; name; x; y; z ] ->
-          gp :=
-            (name, (int_of ~line x, int_of ~line y, float_of ~line z, 1.0))
-            :: !gp
+          let x = int_of ~line x in
+          let y = int_of ~line y in
+          let z = float_of ~line z in
+          gp := (name, (x, y, z, 1.0)) :: !gp
         | [ "tdflow.gp"; name; x; y; z; w ] ->
-          gp :=
-            ( name,
-              (int_of ~line x, int_of ~line y, float_of ~line z,
-               float_of ~line w) )
-            :: !gp
+          let x = int_of ~line x in
+          let y = int_of ~line y in
+          let z = float_of ~line z in
+          let w = float_of ~line w in
+          gp := (name, (x, y, z, w)) :: !gp
         | "tdflow.gp" :: _ ->
           fail "line %d: tdflow.gp wants '<comp> <x> <y> <z> [<weight>]'" line
         | kw :: _ -> fail "line %d: unknown extension comment %S" line kw

@@ -151,7 +151,8 @@ let test_def_errors_typed () =
 
 (* Numbers are DEF decimals.  OCaml's literal syntax, which the stdlib
    conversions accept, is a typed error naming the token, in statements
-   and in extension comments alike. *)
+   and in extension comments alike; with several bad numbers in one
+   statement, the first is named. *)
 let test_def_number_syntax () =
   let base = "DESIGN d ;\nUNITS DISTANCE MICRONS 1 ;\n" in
   List.iter
@@ -163,6 +164,11 @@ let test_def_number_syntax () =
       ("DIEAREA ( 0x10 0 ) ( 1_000 +8 ) ;", {|line 3: expected integer, got "0x10"|});
       ("DIEAREA ( 16 0 ) ( 1_000 8 ) ;", {|line 3: expected integer, got "1_000"|});
       ("DIEAREA ( 16 0 ) ( 1000 +8 ) ;", {|line 3: expected integer, got "+8"|});
+      ("DIEAREA ( 16 0 ) ( 1_000 +8 ) ;", {|line 3: expected integer, got "1_000"|});
+      ( "DIEAREA ( 0 0 ) ( 9 9 ) ;\nROW r s 1_0 +8 N DO 0x4 BY 2 ;",
+        {|line 4: expected integer, got "1_0"|} );
+      ( "DIEAREA ( 0 0 ) ( 9 9 ) ;\n# tdflow.gp c1 1_0 +8 nan",
+        {|line 4: expected integer, got "1_0"|} );
       ( "DIEAREA ( 0 0 ) ( 9 9 ) ;\n# tdflow.gp c1 1 2 nan",
         {|line 4: expected number, got "nan"|} );
       ( "DIEAREA ( 0 0 ) ( 9 9 ) ;\n# tdflow.max_util 1.",
@@ -176,6 +182,13 @@ let test_def_number_syntax () =
   with
   | Ok d -> Alcotest.(check (option (float 0.))) "max_util" (Some 1.2345678901234567) d.Def.max_util
   | Error e -> Alcotest.failf "long decimals rejected: %s" e
+
+(* SIZE's two numbers are read in source order, so the error names the
+   first bad one. *)
+let test_lef_number_order () =
+  match Lef.read "MACRO m\nSIZE 1_0 BY +8 ;\nEND m\nEND LIBRARY" with
+  | Error e -> Alcotest.(check string) "first bad number" {|line 2: expected integer, got "1_0"|} e
+  | Ok _ -> Alcotest.fail "expected a parse error"
 
 (* ---- converters ---------------------------------------------------- *)
 
@@ -530,6 +543,8 @@ let suite =
     Alcotest.test_case "def: example fields" `Quick test_def_example_fields;
     Alcotest.test_case "def: typed parse errors" `Quick test_def_errors_typed;
     Alcotest.test_case "def: numbers are DEF decimals" `Quick test_def_number_syntax;
+    Alcotest.test_case "lef: SIZE names its first bad number" `Quick
+      test_lef_number_order;
     Alcotest.test_case "to_design: example pair" `Quick test_example_to_design;
     Alcotest.test_case "to_design: typed converter errors" `Quick
       test_to_design_errors;
