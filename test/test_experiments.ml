@@ -55,6 +55,24 @@ let test_render () =
   Alcotest.(check bool) "has data" true
     (List.length (String.split_on_char '\n' s) >= 3)
 
+let test_scaling_point () =
+  let module S = Tdf_experiments.Scaling in
+  let suite = Tdf_benchgen.Spec.Iccad2023 in
+  let cells =
+    Tdf_netlist.Design.n_cells
+      (Tdf_benchgen.Gen.generate_by_name ~scale:0.005 suite "case4")
+  in
+  match S.run ~scales:[ 0.005 ] suite "case4" with
+  | [ p ] ->
+    Alcotest.(check int) "cells of the generated design" cells p.S.sc_cells;
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check bool) (name ^ " finite and positive") true
+          (Float.is_finite v && v > 0.))
+      [ ("bonn pops/aug", p.S.bonn_pops_per_aug);
+        ("ours pops/aug", p.S.ours_pops_per_aug) ]
+  | ps -> Alcotest.failf "expected one point, got %d" (List.length ps)
+
 let test_method_names_distinct () =
   let names =
     List.map Runner.method_name
@@ -70,4 +88,5 @@ let suite =
     Alcotest.test_case "sweep post opt" `Slow test_sweep_post_opt;
     Alcotest.test_case "render" `Quick test_render;
     Alcotest.test_case "method names" `Quick test_method_names_distinct;
+    Alcotest.test_case "scaling study point" `Quick test_scaling_point;
   ]
