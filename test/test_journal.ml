@@ -412,99 +412,100 @@ let test_digest_drift_detected () =
 
 (* A fixed load/legalize/eco/evict sequence pins the byte format of every
    wal record (by CRC-32), then recovery must replay all four record kinds
-   to the placement the dead daemon served.  Jobs is a process-wide knob
-   that requests set, so it is restored after. *)
+   to the placement the dead daemon served. *)
 let test_journal_format_and_replay () =
   let dir = tmpdir "format" in
   let cfg name =
     { (journaled_cfg name dir) with Server.max_sessions = 1 }
   in
-  let jobs0 = Tdf_par.jobs () in
+  let server = Server.create (cfg "fmt1") in
+  let d, p = fixture 89 in
+  let load session =
+    Server.handle server
+      (Protocol.Load_design
+         {
+           session;
+           design = Protocol.Text (Text.design_to_string d);
+           placement = Some (Protocol.Text (Text.placement_to_string d p));
+           tiles = None;
+         })
+  in
+  let legalize session =
+    Server.handle server
+      (Protocol.Legalize
+         {
+           session;
+           budget_ms = None;
+           jobs = None;
+           tiles = None;
+           want_placement = false;
+         })
+  in
+  let eco session delta =
+    Server.handle server
+      (Protocol.Eco
+         {
+           session;
+           delta = Protocol.Text delta;
+           radius = None;
+           max_widenings = None;
+           budget_ms = None;
+           jobs = None;
+           tiles = None;
+           want_placement = false;
+         })
+  in
+  expect_ok "load s1" (load "s1");
+  expect_ok "legalize s1" (legalize "s1");
+  expect_ok "eco s1" (eco "s1" "move 3 10 10 0\n");
+  (match eco "s1" "move 9999 10 10 0\n" with
+  | Error { Protocol.code = "invalid-delta"; _ } -> ()
+  | _ -> Alcotest.fail "out-of-range eco was not rejected");
+  expect_ok "load s2 (evicts s1)" (load "s2");
+  expect_ok "eco s2" (eco "s2" "move 7 60 20 1\n");
+  expect_ok "legalize s2" (legalize "s2");
+  let before = placement_text server ~session:"s2" in
+  Server.crash server;
+  let j, r = open_exn (Journal.default_cfg ~dir) in
+  Journal.close j;
+  let ops =
+    List.map
+      (fun (_, payload) ->
+        match Tdf_telemetry.Json.of_string payload with
+        | Ok doc ->
+          Option.bind (Tdf_telemetry.Json.member "op" doc)
+            Tdf_telemetry.Json.to_str
+          |> Option.value ~default:"?"
+        | Error e -> Alcotest.failf "wal record is not JSON: %s" e)
+      r.Journal.records
+  in
+  Alcotest.(check (list string))
+    "wal record kinds"
+    [ "load"; "legalize"; "eco"; "evict"; "load"; "eco"; "legalize" ]
+    ops;
+  let crcs =
+    List.map (fun (_, payload) -> Crc32.to_hex (Crc32.string payload))
+      r.Journal.records
+  in
+  Alcotest.(check (list string))
+    "wal payload CRCs"
+    [
+      "f14df81e"; "64697992"; "dc2dd1bf"; "909eb4cb"; "cf0e1453"; "f5849190";
+      "bdc1f135";
+    ]
+    crcs;
+  let server = Server.create (cfg "fmt2") in
   Fun.protect
-    ~finally:(fun () -> Tdf_par.set_jobs jobs0)
+    ~finally:(fun () -> Server.close server)
     (fun () ->
-      let server = Server.create (cfg "fmt1") in
-      let d, p = fixture 89 in
-      let load session =
-        Server.handle server
-          (Protocol.Load_design
-             {
-               session;
-               design = Protocol.Text (Text.design_to_string d);
-               placement = Some (Protocol.Text (Text.placement_to_string d p));
-               tiles = None;
-             })
-      in
-      let legalize session jobs =
-        Server.handle server
-          (Protocol.Legalize
-             { session; budget_ms = None; jobs; tiles = None; want_placement = false })
-      in
-      let eco session delta =
-        Server.handle server
-          (Protocol.Eco
-             {
-               session;
-               delta = Protocol.Text delta;
-               radius = None;
-               max_widenings = None;
-               budget_ms = None;
-               jobs = None;
-               tiles = None;
-               want_placement = false;
-             })
-      in
-      expect_ok "load s1" (load "s1");
-      expect_ok "legalize s1" (legalize "s1" (Some 1));
-      expect_ok "eco s1" (eco "s1" "move 3 10 10 0\n");
-      (match eco "s1" "move 9999 10 10 0\n" with
-      | Error { Protocol.code = "invalid-delta"; _ } -> ()
-      | _ -> Alcotest.fail "out-of-range eco was not rejected");
-      expect_ok "load s2 (evicts s1)" (load "s2");
-      expect_ok "eco s2" (eco "s2" "move 7 60 20 1\n");
-      expect_ok "legalize s2" (legalize "s2" None);
-      let before = placement_text server ~session:"s2" in
-      Server.crash server;
-      let j, r = open_exn (Journal.default_cfg ~dir) in
-      Journal.close j;
-      let ops =
-        List.map
-          (fun (_, payload) ->
-            match Tdf_telemetry.Json.of_string payload with
-            | Ok doc ->
-              Option.bind (Tdf_telemetry.Json.member "op" doc)
-                Tdf_telemetry.Json.to_str
-              |> Option.value ~default:"?"
-            | Error e -> Alcotest.failf "wal record is not JSON: %s" e)
-          r.Journal.records
-      in
-      Alcotest.(check (list string))
-        "wal record kinds"
-        [ "load"; "legalize"; "eco"; "evict"; "load"; "eco"; "legalize" ]
-        ops;
-      let crcs =
-        List.map (fun (_, payload) -> Crc32.to_hex (Crc32.string payload))
-          r.Journal.records
-      in
-      Alcotest.(check (list string))
-        "wal payload CRCs"
-        [
-          "f14df81e"; "b99e62fb"; "dc2dd1bf"; "909eb4cb"; "cf0e1453"; "f5849190";
-          "bdc1f135";
-        ]
-        crcs;
-      let server = Server.create (cfg "fmt2") in
-      Fun.protect
-        ~finally:(fun () -> Server.close server)
-        (fun () ->
-          (match Server.recovery server with
-          | Some r -> check_int "one session recovered" 1 r.Server.recovered_sessions
-          | None -> Alcotest.fail "no recovery stats");
-          check_str "s2 placement bytes identical" before
-            (placement_text server ~session:"s2");
-          match Server.handle server (Protocol.Get_placement { session = "s1" }) with
-          | Error { Protocol.code = "unknown-session"; _ } -> ()
-          | _ -> Alcotest.fail "evicted session s1 came back"))
+      (match Server.recovery server with
+      | Some r -> check_int "one session recovered" 1 r.Server.recovered_sessions
+      | None -> Alcotest.fail "no recovery stats");
+      check_str "s2 placement bytes identical" before
+        (placement_text server ~session:"s2");
+      match Server.handle server (Protocol.Get_placement { session = "s1" }) with
+      | Error { Protocol.code = "unknown-session"; _ } -> ()
+      | _ -> Alcotest.fail "evicted session s1 came back")
 
 (* A snapshot blob as written before snapshots became load records —
    {"design","placement","digest"}, no "op" — still restores. *)
@@ -586,6 +587,57 @@ let test_legacy_tiles_records_recover () =
         check_int "both records replayed" 2 r.Server.replayed_records
       | None -> Alcotest.fail "no recovery stats");
       check_str "recovered placement CRC" "0f0c60cc"
+        (Crc32.to_hex (Crc32.string (placement_text server ~session:"t"))))
+
+(* Records a daemon wrote while a request's job count was journaled: a
+   legalize and an eco carrying "jobs":2.  The key is no longer read, so
+   they replay to the digests the daemon recorded; their bytes are pinned
+   by CRC to what it wrote. *)
+let test_legacy_jobs_records_recover () =
+  let dir = tmpdir "legacyjobs" in
+  let d, p = fixture 103 in
+  let module Json = Tdf_telemetry.Json in
+  let record op fields digest =
+    Json.to_string
+      (Json.Obj
+         ((("op", Json.String op) :: ("session", Json.String "t") :: fields)
+         @ [ ("digest", Json.String digest) ]))
+  in
+  let payloads =
+    [
+      record "load"
+        [
+          ("design", Json.String (Text.design_to_string d));
+          ("placement", Json.String (Text.placement_to_string d p));
+        ]
+        "8600de34";
+      record "legalize" [ ("jobs", Json.Int 2) ] "8600de34";
+      record "eco"
+        [
+          ("delta", Json.String "move 3 10 10 0\n");
+          ("radius", Json.Int 4);
+          ("max_widenings", Json.Int 3);
+          ("jobs", Json.Int 2);
+        ]
+        "6ce5132e";
+    ]
+  in
+  Alcotest.(check (list string))
+    "legacy record CRCs" [ "f0efd89b"; "41918c11"; "fdb904a4" ]
+    (List.map (fun s -> Crc32.to_hex (Crc32.string s)) payloads);
+  let j, _ = open_exn (Journal.default_cfg ~dir) in
+  List.iter (fun s -> ignore (Journal.append j s)) payloads;
+  Journal.close j;
+  let server = Server.create (journaled_cfg "legacyjobs" dir) in
+  Fun.protect
+    ~finally:(fun () -> Server.close server)
+    (fun () ->
+      (match Server.recovery server with
+      | Some r ->
+        check_int "session recovered" 1 r.Server.recovered_sessions;
+        check_int "all records replayed" 3 r.Server.replayed_records
+      | None -> Alcotest.fail "no recovery stats");
+      check_str "recovered placement CRC" "19bbe843"
         (Crc32.to_hex (Crc32.string (placement_text server ~session:"t"))))
 
 (* ---- property fuzzing ------------------------------------------------ *)
@@ -687,6 +739,8 @@ let suite =
       test_legacy_snapshot_blob_restores;
     Alcotest.test_case "records carrying a tile count still recover" `Quick
       test_legacy_tiles_records_recover;
+    Alcotest.test_case "records carrying a job count still recover" `Quick
+      test_legacy_jobs_records_recover;
     Props.test ~count:30 "journal: append/reopen identity" payloads_arb
       prop_append_reopen_identity;
     Props.test ~count:30 "journal: any truncation yields a clean prefix"
