@@ -569,11 +569,7 @@ let run_serve_bench () =
         d)
   in
   (* Warm path: one daemon process, one session, the whole delta stream
-     over a single connection.  A few requests inside the byte-compared
-     prefix override --jobs to 2 (and reset to 1 right after) to prove
-     byte-identity is jobs-invariant on the server side too; the override
-     is not left sticky because pool overhead would drown the latency
-     numbers on dirty regions this small. *)
+     over a single connection. *)
   let sock = file "sock" in
   let reqs =
     Protocol.Load_design
@@ -592,10 +588,7 @@ let run_serve_bench () =
                radius = None;
                max_widenings = None;
                budget_ms = None;
-               jobs =
-                 (if i mod 40 = 1 then Some 2
-                  else if i mod 40 = 2 then Some 1
-                  else None);
+               jobs = None;
                tiles = None;
                want_placement = i < n_cold;
              })

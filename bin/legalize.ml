@@ -19,15 +19,15 @@ let design_arg =
 
 (* ---- parallelism --------------------------------------------------- *)
 
-(* The flag only *requests* a pool size; Tdf_par clamps it and falls back
-   to TDFLOW_JOBS, then 1, when the flag is absent.  Results are
-   bit-identical at every setting (see lib/par/pool.mli), so this is a
-   pure wall-clock knob. *)
+(* The experiments grid is the one parallel section, so only [compare]
+   takes --jobs.  The flag only *requests* a pool size; Tdf_par clamps it
+   and falls back to TDFLOW_JOBS, then 1, when the flag is absent.
+   Results are bit-identical at every setting (see lib/par/pool.mli). *)
 let jobs_term =
   let doc =
-    "Number of worker domains for the parallel sections (experiments \
-     grid, per-segment row placement, metrics reduction).  Defaults to \
-     $(b,TDFLOW_JOBS) or 1.  Results are identical at every setting."
+    "Number of worker domains over which $(b,compare) fans out the \
+     methods.  Defaults to $(b,TDFLOW_JOBS) or 1.  Results are identical \
+     at every setting."
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -35,22 +35,28 @@ let jobs_term =
   Term.(const (Option.iter Tdf_par.set_jobs) $ jobs)
 
 (* Inert: parsed, warned about once on stderr by Cmdliner, and ignored.
-   It stays only because the performance ledger (bench/ledger) starts
-   [serve ... --tiles 1]; it goes once the ledger stops passing it. *)
-let tiles_term =
-  let tiles =
+   They stay only because the performance ledger (bench/ledger) starts
+   [serve ... --jobs 1 --tiles 1]; they go once the ledger stops passing
+   them. *)
+let inert name ~why =
+  let v =
     Arg.(
       value
       & opt (some int) None
-      & info [ "tiles" ] ~docv:"N"
-          ~deprecated:"ignored: the flow pass is no longer sharded into tiles"
+      & info [ name ] ~docv:"N" ~deprecated:("ignored: " ^ why)
           ~doc:"Accepted and ignored.")
   in
-  Term.(const ignore $ tiles)
+  Term.(const ignore $ v)
 
-(* run/eco/serve take --jobs and the inert --tiles, which only they ever
-   accepted; the remaining commands carry --jobs alone. *)
-let knobs_term = Term.(const (fun () () -> ()) $ jobs_term $ tiles_term)
+let tiles_term =
+  inert "tiles" ~why:"the flow pass is no longer sharded into tiles"
+
+(* serve's knobs: the inert --jobs beside the inert --tiles. *)
+let serve_knobs_term =
+  Term.(
+    const (fun () () -> ())
+    $ inert "jobs" ~why:"every request runs sequentially"
+    $ tiles_term)
 
 (* ---- telemetry ----------------------------------------------------- *)
 
@@ -386,7 +392,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Legalize a design with one method.")
     Term.(
-      const run $ knobs_term $ design_arg $ meth $ output $ alpha $ strict
+      const run $ tiles_term $ design_arg $ meth $ output $ alpha $ strict
       $ repair $ budget_ms $ no_fallback $ telemetry_term)
 
 (* ---- check -------------------------------------------------------- *)
@@ -580,7 +586,7 @@ let eco_cmd =
          "Incrementally re-legalize a previously legal placement after a \
           small ECO delta, touching only a dirty region of the grid.")
     Term.(
-      const run $ knobs_term $ design_arg $ placement $ delta $ output
+      const run $ tiles_term $ design_arg $ placement $ delta $ output
       $ out_design $ radius $ max_widenings $ no_fallback $ budget_ms
       $ telemetry_term)
 
@@ -747,8 +753,7 @@ let serve_cmd =
     let quit _ = stop := true in
     Sys.set_signal Sys.sigint (Sys.Signal_handle quit);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle quit);
-    Printf.printf "tdflow serve: listening on %s (jobs %d)\n%!" socket
-      (Tdf_par.jobs ());
+    Printf.printf "tdflow serve: listening on %s\n%!" socket;
     while (not !stop) && Tdf_server.Server.step server do
       ()
     done;
@@ -773,7 +778,7 @@ let serve_cmd =
           crashes: every mutating request is journaled before its reply \
           and replayed on restart.")
     Term.(
-      const run $ knobs_term $ socket_arg $ max_sessions $ max_frame
+      const run $ serve_knobs_term $ socket_arg $ max_sessions $ max_frame
       $ budget_ms $ journal_dir $ fsync $ snapshot_every $ max_pending
       $ max_conn_queue $ idle_timeout $ deadline_ms $ arm_failpoint
       $ telemetry_term)
@@ -834,7 +839,7 @@ let client_cmd =
              (legalize/eco with \"placement\":true and get-placement), in \
              reply order, into $(docv) — two replay runs are then \
              byte-comparable with $(b,cmp), the determinism check CI \
-             runs across --jobs settings.")
+             runs across daemons.")
   in
   let run socket trace_path out_json require_legal verbose retries backoff_ms
       dump_placements =

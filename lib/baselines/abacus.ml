@@ -77,12 +77,10 @@ let legalize design =
         states.(si).used <- states.(si).used + w
       | None -> ())
     order;
-  (* Final PlaceRow per segment writes the positions.  Segments own
-     disjoint cell sets by construction, so they fan out over the domain
-     pool; each segment's placement depends only on its own state. *)
-  Tdf_par.run_local ~local:Place_row.create ~n:(Array.length states)
-    (fun row si ->
-      let st = states.(si) in
+  (* Final PlaceRow per segment, through the same buffer, writes the
+     positions.  Segments own disjoint cell sets by construction. *)
+  Array.iteri
+    (fun si st ->
       if st.cells <> [] then begin
         let s = space.Rowspace.segs.(si) in
         let d = Design.die design s.Rowspace.die in
@@ -97,5 +95,6 @@ let legalize design =
           p.Placement.y.(c) <- s.Rowspace.y;
           p.Placement.die.(c) <- s.Rowspace.die
         done
-      end);
+      end)
+    states;
   p

@@ -85,8 +85,8 @@ val run :
 (** [run design prev delta] re-legalizes [prev] (assumed legal for
     [design]; an illegal [prev] degrades gracefully into widenings and
     ultimately the full fallback) after applying [delta].  Deterministic:
-    the same inputs produce the same placement at any [--jobs] level,
-    like the from-scratch legalizer. *)
+    the same inputs produce the same placement, like the from-scratch
+    legalizer. *)
 
 (** A warm session for a {e stream} of ECO deltas against one design: the
     bin grid and the MCMF workspace stay resident between requests, so

@@ -23,8 +23,8 @@
     {"req":"shutdown"}
     v}
 
-    The ["tiles"] key is accepted and ignored (see the [tiles] fields
-    below).
+    The ["jobs"] and ["tiles"] keys are accepted and ignored (see the
+    [jobs] and [tiles] fields below).
 
     Placements travel as the exact text of {!Text.placement_to_string}, so
     a server response is byte-comparable with what the one-shot CLI writes
@@ -49,6 +49,9 @@ type request =
       session : string;
       budget_ms : int option;
       jobs : int option;
+          (** Accepted and ignored: every request runs sequentially.
+              Kept, and still encoded and decoded, because the
+              performance ledger ([bench/ledger]) still sends it. *)
       tiles : int option;  (** ignored; kept for [bench/ledger] *)
       want_placement : bool;
     }
@@ -58,7 +61,7 @@ type request =
       radius : int option;
       max_widenings : int option;
       budget_ms : int option;
-      jobs : int option;
+      jobs : int option;  (** ignored; kept for [bench/ledger] *)
       tiles : int option;  (** ignored; kept for [bench/ledger] *)
       want_placement : bool;
     }

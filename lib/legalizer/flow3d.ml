@@ -150,24 +150,20 @@ let local_pass ?mask cfg ~budget grid =
     pass_complete = !complete;
   }
 
-(* §III-D: Abacus PlaceRow on every segment; writes final positions.
-   Segments are independent subproblems — each touches only the placement
-   slots of its own cells — so they fan out over the domain pool, one
-   PlaceRow buffer per domain; every segment's result depends only on its
-   own cells, making the parallel placement bit-identical to the
-   sequential one.  A cell's fragments all lie in one segment, and the
-   cell is staged once, at the fragment heading its own list.  With
-   [only] set, only the selected segments are re-placed; the untouched
-   ones keep whatever [p] already records (the incremental engine's
-   frozen segments). *)
+(* §III-D: Abacus PlaceRow on every segment, in segment order through
+   one reused buffer; writes final positions.  Each segment touches only
+   the placement slots of its own cells.  A cell's fragments all lie in
+   one segment, and the cell is staged once, at the fragment heading its
+   own list.  With [only] set, only the selected segments are re-placed;
+   the untouched ones keep whatever [p] already records (the incremental
+   engine's frozen segments). *)
 let place_segments ?only grid (p : Placement.t) =
   Tdf_telemetry.span "flow3d.place_row" @@ fun () ->
   let design = grid.Grid.design in
-  let segments = grid.Grid.segments in
   let selected sid = match only with None -> true | Some m -> m.(sid) in
-  Tdf_par.run_local ~local:Place_row.create ~n:(Array.length segments)
-    (fun row si ->
-      let s = segments.(si) in
+  let row = Place_row.create () in
+  Array.iter
+    (fun s ->
       if selected s.Grid.sid then begin
         Place_row.clear row;
         Array.iter
@@ -195,8 +191,7 @@ let place_segments ?only grid (p : Placement.t) =
           done
         end
       end)
-
-let finalize grid p = place_segments grid p
+    grid.Grid.segments
 
 (* Normalized displacement metrics (the paper's Tables are row-height
    normalized, so post-opt acceptance must be too: a raw improvement on a
@@ -249,7 +244,7 @@ let one_pass cfg ~budget design ~bin_factor ?reuse (start : Placement.t)
   in
   let ps = local_pass cfg ~budget grid in
   let p = Placement.copy start in
-  finalize grid p;
+  place_segments grid p;
   ( p,
     ps.pass_augmentations,
     ps.pass_expansions,

@@ -15,19 +15,10 @@ let per_cell design p c =
   let h_r = (Design.die design p.Placement.die.(c)).Die.row_height in
   float_of_int raw /. float_of_int h_r
 
-(* Partial accumulators per fixed-size cell chunk, merged in chunk order.
-   The partition depends only on the cell count (not the pool size), so
-   the float sums associate identically at every --jobs setting; designs
-   smaller than one chunk accumulate in the seed's sequential order. *)
-type acc = {
-  mutable sum_norm : float;
-  mutable a_max_norm : float;
-  mutable sum_raw : int;
-  mutable a_max_raw : int;
-  mutable sum_weighted : float;
-  mutable sum_weight : float;
-}
-
+(* The float sums are taken per 4096-cell chunk, and the chunk partials
+   left to right in chunk order.  That is the summation order behind every
+   pinned and reported displacement; a plain left fold would change the
+   low bits on designs with more than one chunk of cells. *)
 let chunk = 4096
 
 let summary design p =
@@ -35,55 +26,33 @@ let summary design p =
   if n = 0 then
     { avg_norm = 0.; max_norm = 0.; avg_raw = 0.; max_raw = 0; avg_weighted = 0. }
   else begin
-    let a =
-      Tdf_par.reduce_chunked ~chunk ~n
-        ~map:(fun lo hi ->
-          let a =
-            {
-              sum_norm = 0.;
-              a_max_norm = 0.;
-              sum_raw = 0;
-              a_max_raw = 0;
-              sum_weighted = 0.;
-              sum_weight = 0.;
-            }
-          in
-          for c = lo to hi - 1 do
-            let raw = Placement.displacement design p c in
-            let norm = per_cell design p c in
-            let weight = (Design.cell design c).Tdf_netlist.Cell.weight in
-            a.sum_norm <- a.sum_norm +. norm;
-            if norm > a.a_max_norm then a.a_max_norm <- norm;
-            a.sum_raw <- a.sum_raw + raw;
-            if raw > a.a_max_raw then a.a_max_raw <- raw;
-            a.sum_weighted <- a.sum_weighted +. (weight *. norm);
-            a.sum_weight <- a.sum_weight +. weight
-          done;
-          a)
-        ~merge:(fun x y ->
-          {
-            sum_norm = x.sum_norm +. y.sum_norm;
-            a_max_norm = Float.max x.a_max_norm y.a_max_norm;
-            sum_raw = x.sum_raw + y.sum_raw;
-            a_max_raw = max x.a_max_raw y.a_max_raw;
-            sum_weighted = x.sum_weighted +. y.sum_weighted;
-            sum_weight = x.sum_weight +. y.sum_weight;
-          })
-        ~init:
-          {
-            sum_norm = 0.;
-            a_max_norm = 0.;
-            sum_raw = 0;
-            a_max_raw = 0;
-            sum_weighted = 0.;
-            sum_weight = 0.;
-          }
-    in
+    let sum_norm = ref 0. and sum_weighted = ref 0. and sum_weight = ref 0. in
+    let max_norm = ref 0. and sum_raw = ref 0 and max_raw = ref 0 in
+    let lo = ref 0 in
+    while !lo < n do
+      let hi = min n (!lo + chunk) in
+      let s_norm = ref 0. and s_weighted = ref 0. and s_weight = ref 0. in
+      for c = !lo to hi - 1 do
+        let raw = Placement.displacement design p c in
+        let norm = per_cell design p c in
+        let weight = (Design.cell design c).Tdf_netlist.Cell.weight in
+        s_norm := !s_norm +. norm;
+        if norm > !max_norm then max_norm := norm;
+        sum_raw := !sum_raw + raw;
+        if raw > !max_raw then max_raw := raw;
+        s_weighted := !s_weighted +. (weight *. norm);
+        s_weight := !s_weight +. weight
+      done;
+      sum_norm := !sum_norm +. !s_norm;
+      sum_weighted := !sum_weighted +. !s_weighted;
+      sum_weight := !sum_weight +. !s_weight;
+      lo := hi
+    done;
     {
-      avg_norm = a.sum_norm /. float_of_int n;
-      max_norm = a.a_max_norm;
-      avg_raw = float_of_int a.sum_raw /. float_of_int n;
-      max_raw = a.a_max_raw;
-      avg_weighted = a.sum_weighted /. a.sum_weight;
+      avg_norm = !sum_norm /. float_of_int n;
+      max_norm = !max_norm;
+      avg_raw = float_of_int !sum_raw /. float_of_int n;
+      max_raw = !max_raw;
+      avg_weighted = !sum_weighted /. !sum_weight;
     }
   end

@@ -17,24 +17,27 @@ let net_hpwl centers (net : Net.t) =
     net.Net.pins;
   !max_x -. !min_x +. (!max_y -. !min_y)
 
-(* Per-net HPWLs are reduced over fixed-size chunks (partial sums merged
-   left-to-right in chunk order).  The partition depends only on the net
-   count, never on the pool size, so the float total is bit-identical for
-   every --jobs setting; a design smaller than one chunk sums in exactly
-   the seed's sequential order. *)
+(* Per-net HPWLs are summed per 4096-net chunk, and the chunk partials
+   left to right in chunk order.  That is the summation order behind every
+   pinned and reported HPWL; a plain left fold would change the low bits
+   on designs with more than one chunk of nets. *)
 let chunk = 4096
 
 let total design centers =
   let nets = design.Design.nets in
   let n = Array.length nets in
-  Tdf_par.reduce_chunked ~chunk ~n
-    ~map:(fun lo hi ->
-      let acc = ref 0. in
-      for i = lo to hi - 1 do
-        acc := !acc +. net_hpwl centers nets.(i)
-      done;
-      !acc)
-    ~merge:( +. ) ~init:0.
+  let sum = ref 0. in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + chunk) in
+    let part = ref 0. in
+    for i = !lo to hi - 1 do
+      part := !part +. net_hpwl centers nets.(i)
+    done;
+    sum := !sum +. !part;
+    lo := hi
+  done;
+  !sum
 
 let of_placement design p =
   let centers c =

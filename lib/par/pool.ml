@@ -34,11 +34,6 @@ let in_task_key = Domain.DLS.new_key (fun () -> false)
 
 let in_task () = Domain.DLS.get in_task_key
 
-(* Slot of the current domain inside its pool: spawned worker [k] uses
-   slot [k + 1], the submitting domain slot 0.  Indexes the per-call
-   scratch table of [run_local]. *)
-let slot_key = Domain.DLS.new_key (fun () -> 0)
-
 let size p = p.psize
 
 let drain pool job =
@@ -64,9 +59,8 @@ let drain pool job =
   in
   go ()
 
-let worker pool slot =
+let worker pool =
   Domain.DLS.set in_task_key true;
-  Domain.DLS.set slot_key slot;
   let last = ref 0 in
   let rec loop () =
     Mutex.lock pool.mutex;
@@ -100,7 +94,7 @@ let create n =
   in
   if n > 1 then
     pool.workers <-
-      List.init (n - 1) (fun k -> Domain.spawn (fun () -> worker pool (k + 1)));
+      List.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
 
 let shutdown pool =
@@ -147,7 +141,7 @@ let run pool ~n task =
     pool.epoch <- pool.epoch + 1;
     Condition.broadcast pool.work;
     Mutex.unlock pool.mutex;
-    (* The submitting domain participates as worker slot 0. *)
+    (* The submitting domain participates as a worker. *)
     Domain.DLS.set in_task_key true;
     Fun.protect
       (fun () -> drain pool job)
@@ -164,29 +158,6 @@ let run pool ~n task =
     | None -> ()
   end
 
-let run_local pool ~local ~n task =
-  if n <= 0 then ()
-  else if pool.psize = 1 || n = 1 || pool.stop || in_task () then begin
-    let l = local () in
-    sequential n (task l)
-  end
-  else begin
-    (* One scratch per participating domain, created lazily by the domain
-       itself (each slot is only ever touched by its own domain). *)
-    let scratches = Array.make pool.psize None in
-    run pool ~n (fun i ->
-        let slot = Domain.DLS.get slot_key in
-        let l =
-          match scratches.(slot) with
-          | Some l -> l
-          | None ->
-            let l = local () in
-            scratches.(slot) <- Some l;
-            l
-        in
-        task l i)
-  end
-
 let map_array pool f arr =
   let n = Array.length arr in
   if n = 0 then [||]
@@ -195,28 +166,3 @@ let map_array pool f arr =
     run pool ~n (fun i -> out.(i) <- Some (f arr.(i)));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let parallel_for pool ?(chunk = 1) ~n body =
-  if chunk <= 1 then run pool ~n body
-  else begin
-    let ntasks = (n + chunk - 1) / chunk in
-    run pool ~n:ntasks (fun t ->
-        let hi = min n ((t + 1) * chunk) in
-        for i = t * chunk to hi - 1 do
-          body i
-        done)
-  end
-
-let map_chunked pool ~chunk ~n f =
-  if chunk <= 0 then invalid_arg "Pool.map_chunked: chunk must be positive";
-  if n <= 0 then [||]
-  else begin
-    let ntasks = (n + chunk - 1) / chunk in
-    let out = Array.make ntasks None in
-    run pool ~n:ntasks (fun t ->
-        out.(t) <- Some (f (t * chunk) (min n ((t + 1) * chunk))));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let reduce_chunked pool ~chunk ~n ~map ~merge ~init =
-  Array.fold_left merge init (map_chunked pool ~chunk ~n map)

@@ -1,24 +1,23 @@
-(** Fixed-size [Domain] pool with deterministic fan-out combinators.
+(** Fixed-size [Domain] pool with deterministic fan-out.  Its one user is
+    the experiments grid ({!Tdf_experiments.Runner}), whose tasks are
+    whole legalizer runs; everything inside a run is sequential.
 
     The pool owns [size - 1] worker domains (the submitting domain is the
     remaining worker, so a pool of size [n] computes on [n] domains).
     Work is submitted as [n] indexed tasks; idle domains claim indices
     from a shared atomic counter, and results are always delivered in
-    submission-index order, so the output of every combinator is
+    submission-index order, so the output of {!run} and {!map_array} is
     bit-identical regardless of how tasks were scheduled across domains.
 
     Determinism contract:
 
-    - a combinator's output depends only on its inputs, never on the pool
+    - a submission's output depends only on its inputs, never on the pool
       size or the interleaving — provided tasks touch disjoint mutable
-      state (distinct result slots, distinct placement rows, ...);
+      state (distinct result slots, ...);
     - telemetry emitted inside tasks is captured per task and replayed on
       the submitting domain in submission-index order at join, so sinks
       observe one deterministic event stream and are never called
-      concurrently;
-    - chunked partitions depend only on the explicit [chunk] size and the
-      input length, so float reductions associate identically at every
-      pool size (including 1).
+      concurrently.
 
     A task that raises fails the whole submission: the first failure (in
     claim order) is re-raised on the submitting domain after all tasks
@@ -30,7 +29,7 @@ type t
 
 val create : int -> t
 (** [create n] spawns a pool of [n] domains (clamped to [1, 64]).  A pool
-    of size 1 spawns nothing and runs every combinator inline. *)
+    of size 1 spawns nothing and runs every submission inline. *)
 
 val size : t -> int
 
@@ -43,40 +42,9 @@ val run : t -> n:int -> (int -> unit) -> unit
     the pool's domains, and returns when all have finished.  [f i] must
     write its result to task-private state (e.g. slot [i] of an array). *)
 
-val run_local : t -> local:(unit -> 'l) -> n:int -> ('l -> int -> unit) -> unit
-(** {!run} with domain-local scratch: each participating domain lazily
-    creates one ['l] with [local] and passes it to every task it executes
-    (an Mcmf workspace, a staging buffer, ...).  At most {!size} scratch
-    values are created per call.  Tasks must not let the scratch influence
-    their observable result — it is reusable {e memory}, not state. *)
-
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; output order is input order. *)
 
-val parallel_for : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for t ~chunk ~n body] runs [body i] for [0 <= i < n],
-    grouping [chunk] consecutive indices per task (default 1).  Within a
-    chunk, indices run in increasing order on one domain. *)
-
-val map_chunked : t -> chunk:int -> n:int -> (int -> int -> 'b) -> 'b array
-(** [map_chunked t ~chunk ~n f] partitions [0, n) into contiguous chunks
-    of [chunk] (the last may be short) and computes [f lo hi] per chunk in
-    parallel; returns the per-chunk results in chunk order.  The partition
-    depends only on [chunk] and [n] — never on the pool — which is what
-    makes chunked float reductions deterministic across [--jobs]. *)
-
-val reduce_chunked :
-  t ->
-  chunk:int ->
-  n:int ->
-  map:(int -> int -> 'b) ->
-  merge:('b -> 'b -> 'b) ->
-  init:'b ->
-  'b
-(** [reduce_chunked] is {!map_chunked} followed by a left-to-right
-    [merge] fold from [init], in chunk order. *)
-
 val in_task : unit -> bool
 (** True while the calling domain is executing a pool task (any pool).
-    Combinators check it themselves; exposed for tests and for callers
-    that want to skip setup work that only pays off when parallel. *)
+    {!run} checks it itself; exposed for tests. *)

@@ -1,10 +1,12 @@
-(* Library root: deterministic multicore execution for tdflow.
+(* Library root: deterministic multicore execution for tdflow's
+   experiments grid.
 
    [Pool] is the mechanism; this module owns the process-wide default pool
-   whose size comes from the CLI ([set_jobs], wired to --jobs) or the
-   TDFLOW_JOBS environment variable, defaulting to 1 — parallelism is
-   strictly opt-in, and every parallel path is bit-identical to the
-   sequential one (see pool.mli for the determinism contract). *)
+   whose size comes from the CLI ([set_jobs], wired to `compare --jobs`
+   and the bench suites) or the TDFLOW_JOBS environment variable,
+   defaulting to 1 — parallelism is strictly opt-in, and the grid's
+   output is bit-identical to the sequential one (see pool.mli for the
+   determinism contract). *)
 
 module Pool = Pool
 
@@ -56,17 +58,7 @@ let get () =
     end;
     p
 
-(* Conveniences on the default pool. *)
-
-let run ~n f = Pool.run (get ()) ~n f
-
-let run_local ~local ~n f = Pool.run_local (get ()) ~local ~n f
+(* The one convenience on the default pool: the experiments grid's
+   fan-out. *)
 
 let map_array f arr = Pool.map_array (get ()) f arr
-
-let parallel_for ?chunk ~n body = Pool.parallel_for (get ()) ?chunk ~n body
-
-let map_chunked ~chunk ~n f = Pool.map_chunked (get ()) ~chunk ~n f
-
-let reduce_chunked ~chunk ~n ~map ~merge ~init =
-  Pool.reduce_chunked (get ()) ~chunk ~n ~map ~merge ~init

@@ -168,17 +168,12 @@ type _ mutation =
       placement : Placement.t;
     }
       -> unit mutation
-  | Legalize : {
-      budget_ms : int option;
-      jobs : int option;
-    }
-      -> Pipeline.report mutation
+  | Legalize : { budget_ms : int option } -> Pipeline.report mutation
   | Eco_delta : {
       delta : Delta.t;
       radius : int;
       max_widenings : int;
       budget_ms : int option;
-      jobs : int option;
     }
       -> Eco.result_t mutation
 
@@ -194,10 +189,8 @@ let budget_of : type a. a mutation -> int option = function
    journaled as canonical native text whatever dialect arrived: replay
    has one parser and the digest pins the decoded state. *)
 let encode ~session ?digest op =
-  let knobs ~budget_ms ~jobs =
-    List.filter_map
-      (fun (name, v) -> Option.map (fun v -> (name, Json.Int v)) v)
-      [ ("budget_ms", budget_ms); ("jobs", jobs) ]
+  let budget budget_ms =
+    Option.to_list (Option.map (fun v -> ("budget_ms", Json.Int v)) budget_ms)
   in
   let name, fields =
     match op with
@@ -209,16 +202,15 @@ let encode ~session ?digest op =
           ( "placement",
             Json.String (Text.placement_to_string design placement) );
         ] )
-    | Apply (Legalize { budget_ms; jobs }) ->
-      ("legalize", knobs ~budget_ms ~jobs)
-    | Apply (Eco_delta { delta; radius; max_widenings; budget_ms; jobs }) ->
+    | Apply (Legalize { budget_ms }) -> ("legalize", budget budget_ms)
+    | Apply (Eco_delta { delta; radius; max_widenings; budget_ms }) ->
       ( "eco",
         [
           ("delta", Json.String (Delta.to_string delta));
           ("radius", Json.Int radius);
           ("max_widenings", Json.Int max_widenings);
         ]
-        @ knobs ~budget_ms ~jobs )
+        @ budget budget_ms )
   in
   let digest = Option.map (fun d -> ("digest", Json.String d)) digest in
   Json.to_string
@@ -442,7 +434,7 @@ let decode ?snapshot_of payload =
           | Ok v -> v
           | Error e -> fail "parse-error" "%s: %s" what e
         in
-        let budget_ms = int "budget_ms" and jobs = int "jobs" in
+        let budget_ms = int "budget_ms" in
         let op =
           match name with
           | "evict" -> Evict
@@ -450,7 +442,7 @@ let decode ?snapshot_of payload =
             let design = parsed "design" Text.read_design in
             let placement = parsed "placement" (Text.read_placement design) in
             Apply (Load { design; placement })
-          | "legalize" -> Apply (Legalize { budget_ms; jobs })
+          | "legalize" -> Apply (Legalize { budget_ms })
           | "eco" ->
             Apply
               (Eco_delta
@@ -459,7 +451,6 @@ let decode ?snapshot_of payload =
                    radius = need int "radius";
                    max_widenings = need int "max_widenings";
                    budget_ms;
-                   jobs;
                  })
           | other -> fail "bad-record" "unknown journal op %s" other
         in
@@ -480,9 +471,8 @@ let apply : type a.
   match m with
   | Load { design; placement } ->
     (Eco.Session.create ~cfg:t.cfg.eco design placement, ())
-  | Legalize { budget_ms; jobs } -> (
+  | Legalize { budget_ms } -> (
     let sess = target () in
-    Option.iter Tdf_par.set_jobs jobs;
     let opts = { Pipeline.default_options with Pipeline.budget_ms } in
     match
       Pipeline.run ~opts ~cfg:t.cfg.eco.Eco.flow
@@ -492,9 +482,8 @@ let apply : type a.
     | Ok r ->
       Eco.Session.set_placement sess r.Pipeline.design r.Pipeline.placement;
       (sess, r))
-  | Eco_delta { delta; radius; max_widenings; budget_ms; jobs } -> (
+  | Eco_delta { delta; radius; max_widenings; budget_ms } -> (
     let sess = target () in
-    Option.iter Tdf_par.set_jobs jobs;
     let cfg =
       { t.cfg.eco with Eco.initial_radius = radius; max_widenings; budget_ms }
     in
@@ -595,9 +584,9 @@ let handle_req t (req : Protocol.request) : Protocol.response =
            n_nets = Array.length d.Design.nets;
            legal = Legality.is_legal d p;
          })
-  | Protocol.Legalize { session; budget_ms; jobs; want_placement; _ } ->
+  | Protocol.Legalize { session; budget_ms; want_placement; _ } ->
     let s = required_session t session in
-    let m = Legalize { budget_ms = effective_budget t budget_ms; jobs } in
+    let m = Legalize { budget_ms = effective_budget t budget_ms } in
     let (_, r), wall_s = Timer.time (fun () -> apply t (Some s.sess) m) in
     (* Journal before the round-trip assertion below: the session state
        has already advanced, and the journal must mirror it even when
@@ -618,16 +607,8 @@ let handle_req t (req : Protocol.request) : Protocol.response =
            placement;
          })
   | Protocol.Eco
-      {
-        session;
-        delta;
-        radius;
-        max_widenings;
-        budget_ms;
-        jobs;
-        want_placement;
-        _;
-      } ->
+      { session; delta; radius; max_widenings; budget_ms; want_placement; _ }
+    ->
     let s = required_session t session in
     let base = t.cfg.eco in
     let m =
@@ -638,7 +619,6 @@ let handle_req t (req : Protocol.request) : Protocol.response =
           max_widenings =
             Option.value max_widenings ~default:base.Eco.max_widenings;
           budget_ms = effective_budget t budget_ms;
-          jobs;
         }
     in
     (* Snapshot so a post-hoc consistency failure can roll the warm
@@ -736,8 +716,7 @@ let handle t req =
    session, then command-replay of the wal suffix.  Both read records
    with {!decode} and run them through the live {!apply}, before the
    journal is attached, so nothing replayed is journaled again.  The
-   engines are deterministic (byte-identical at any --jobs), so replay
-   must land on the journaled digests — any drift is a typed startup
+   engines are deterministic, so replay must land on the journaled digests — any drift is a typed startup
    error, not a silent divergence.  The one documented exception:
    budget-capped requests replay with the recorded effective budget, and
    a wall-clock budget that clipped the original run differently from

@@ -11,9 +11,9 @@
 
     Concurrency model: connections are multiplexed with [select] and
     requests execute {e one at a time} on the accept loop — cross-request
-    determinism and session-cache consistency come for free — while each
-    request exploits multicore through the {!Tdf_par} pool (the [jobs]
-    request field, like the CLI's [--jobs], resizes it).  Every request
+    determinism and session-cache consistency come for free — and each
+    runs sequentially: a request's [jobs] field is accepted and ignored,
+    like its [tiles].  Every request
     runs inside its own fault domain: an exception, a poisoned design or
     an exhausted budget yields a typed error {e reply} and leaves the
     server and its session cache intact.

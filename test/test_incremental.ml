@@ -438,27 +438,6 @@ let prop_eco_displacement_bounded =
       in
       avg r.Eco.placement <= (3. *. avg scratch.Flow3d.placement) +. 1.)
 
-let prop_eco_deterministic_across_jobs =
-  Props.test "identical placements at jobs 1/2/8" ~count:8
-    (Props.int_range 0 1_000_000) (fun seed ->
-      let d = Fixtures.random ~n:40 seed in
-      let prev = (Flow3d.legalize d).Flow3d.placement in
-      let rng = Prng.create (seed + 23) in
-      let delta = random_delta rng d in
-      let run_at jobs =
-        Tdf_par.set_jobs jobs;
-        Fun.protect
-          ~finally:(fun () -> Tdf_par.set_jobs 1)
-          (fun () -> (eco_exn d prev delta).Eco.placement)
-      in
-      let p1 = run_at 1 and p2 = run_at 2 and p8 = run_at 8 in
-      let eq a b =
-        a.Placement.x = b.Placement.x
-        && a.Placement.y = b.Placement.y
-        && a.Placement.die = b.Placement.die
-      in
-      eq p1 p2 && eq p1 p8)
-
 let suite =
   [
     Alcotest.test_case "delta round-trip" `Quick test_delta_roundtrip;
@@ -481,5 +460,4 @@ let suite =
     prop_perturb_matches_reference;
     prop_eco_legal;
     prop_eco_displacement_bounded;
-    prop_eco_deterministic_across_jobs;
   ]

@@ -62,6 +62,66 @@ let test_hpwl_no_nets () =
 let legal_placement d =
   (Tdf_legalizer.Flow3d.legalize d).Tdf_legalizer.Flow3d.placement
 
+(* The reported sums run over 4096-element chunks, the chunk partials
+   added left to right: the order behind every pinned HPWL and
+   displacement.  On a design with more than one chunk of nets and cells
+   the bits must match that order, which a plain left fold misses. *)
+let test_chunked_summation_order () =
+  let d =
+    Tdf_benchgen.Gen.generate_by_name ~scale:0.4 Tdf_benchgen.Spec.Iccad2023
+      "case2"
+  in
+  let p = Tdf_baselines.Tetris.legalize d in
+  let n_nets = Array.length d.Design.nets and n_cells = Design.n_cells d in
+  Alcotest.(check bool) "more than one chunk" true
+    (n_nets > 4096 && n_cells > 4096);
+  let chunked n f =
+    let sum = ref 0. in
+    let lo = ref 0 in
+    while !lo < n do
+      let part = ref 0. in
+      for i = !lo to min n (!lo + 4096) - 1 do
+        part := !part +. f i
+      done;
+      sum := !sum +. !part;
+      lo := !lo + 4096
+    done;
+    !sum
+  in
+  let plain n f =
+    let sum = ref 0. in
+    for i = 0 to n - 1 do
+      sum := !sum +. f i
+    done;
+    !sum
+  in
+  let net_hpwl i =
+    let xs, ys =
+      Array.fold_left
+        (fun (xs, ys) c ->
+          let die = p.Placement.die.(c) in
+          let w = Tdf_netlist.Cell.width_on (Design.cell d c) die in
+          let h = (Design.die d die).Tdf_netlist.Die.row_height in
+          ( (float_of_int p.Placement.x.(c) +. (float_of_int w /. 2.)) :: xs,
+            (float_of_int p.Placement.y.(c) +. (float_of_int h /. 2.)) :: ys ))
+        ([], []) d.Design.nets.(i).Net.pins
+    in
+    let span l = List.fold_left Float.max neg_infinity l -. List.fold_left Float.min infinity l in
+    span xs +. span ys
+  in
+  let bits = Int64.bits_of_float in
+  let hpwl = H.of_placement d p in
+  Alcotest.(check int64) "hpwl in chunk order"
+    (bits (chunked n_nets net_hpwl)) (bits hpwl);
+  let s = D.summary d p in
+  Alcotest.(check int64) "avg displacement in chunk order"
+    (bits (chunked n_cells (D.per_cell d p) /. float_of_int n_cells))
+    (bits s.D.avg_norm);
+  Alcotest.(check bool) "a plain fold differs here" true
+    (bits (plain n_nets net_hpwl) <> bits hpwl
+    || bits (plain n_cells (D.per_cell d p) /. float_of_int n_cells)
+       <> bits s.D.avg_norm)
+
 let test_legality_accepts_legal () =
   let d = Fixtures.with_macro () in
   let p = legal_placement d in
@@ -246,6 +306,8 @@ let suite =
     Alcotest.test_case "hpwl global" `Quick test_hpwl_global;
     Alcotest.test_case "hpwl increase" `Quick test_hpwl_increase;
     Alcotest.test_case "hpwl no nets" `Quick test_hpwl_no_nets;
+    Alcotest.test_case "sums run in 4096-element chunks" `Quick
+      test_chunked_summation_order;
     Alcotest.test_case "legality accepts legal" `Quick test_legality_accepts_legal;
     Alcotest.test_case "legality overlap" `Quick test_legality_detects_overlap;
     Alcotest.test_case "legality row misalignment" `Quick

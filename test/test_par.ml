@@ -36,15 +36,6 @@ let test_exactly_once_coverage () =
         "every index exactly once" true
         (Array.for_all (fun c -> c = 1) hits))
 
-let test_parallel_for_chunked () =
-  with_pool 3 (fun p ->
-      let n = 997 in
-      let hits = Array.make n 0 in
-      Pool.parallel_for p ~chunk:10 ~n (fun i -> hits.(i) <- hits.(i) + 1);
-      Alcotest.(check bool)
-        "chunked cover exactly once" true
-        (Array.for_all (fun c -> c = 1) hits))
-
 exception Boom of int
 
 let test_exception_propagates () =
@@ -73,51 +64,6 @@ let test_nested_runs_inline () =
       Alcotest.(check int) "every body saw in_task" 4 (Atomic.get in_task);
       Alcotest.(check int) "nested bodies all ran" 12 (Atomic.get inner_ran));
   Alcotest.(check bool) "outside task" false (Pool.in_task ())
-
-let test_reduce_chunked_invariant_across_sizes () =
-  (* The float reduction must be bitwise identical for every pool size:
-     the chunk partition depends only on (n, chunk), never on domains. *)
-  let n = 10_000 in
-  let xs = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let reduce p =
-    Pool.reduce_chunked p ~chunk:64 ~n
-      ~map:(fun lo hi ->
-        let acc = ref 0. in
-        for i = lo to hi - 1 do
-          acc := !acc +. xs.(i)
-        done;
-        !acc)
-      ~merge:( +. ) ~init:0.
-  in
-  let r1 = with_pool 1 reduce in
-  let r2 = with_pool 2 reduce in
-  let r3 = with_pool 3 reduce in
-  Alcotest.(check bool) "1 = 2 domains (bitwise)" true (Int64.equal (Int64.bits_of_float r1) (Int64.bits_of_float r2));
-  Alcotest.(check bool) "1 = 3 domains (bitwise)" true (Int64.equal (Int64.bits_of_float r1) (Int64.bits_of_float r3))
-
-let test_run_local_scratch () =
-  with_pool 4 (fun p ->
-      let created = Atomic.make 0 in
-      let n = 200 in
-      let seen = Array.make n (-1) in
-      Pool.run_local p
-        ~local:(fun () ->
-          Atomic.incr created;
-          Buffer.create 16)
-        ~n
-        (fun buf i ->
-          (* the scratch must be private to the executing domain: no other
-             task is mutating [buf] concurrently, so this round-trips *)
-          Buffer.clear buf;
-          Buffer.add_string buf (string_of_int i);
-          seen.(i) <- int_of_string (Buffer.contents buf));
-      Alcotest.(check bool)
-        "tasks saw their own index" true
-        (Array.for_all2 ( = ) seen (Array.init n (fun i -> i)));
-      let c = Atomic.get created in
-      Alcotest.(check bool)
-        "scratch count bounded by slots" true
-        (c >= 1 && c <= Pool.size p + 1))
 
 let test_shutdown_idempotent_and_inline () =
   let p = Pool.create 3 in
@@ -162,13 +108,9 @@ let suite =
     Alcotest.test_case "create clamps size" `Quick test_create_clamps;
     Alcotest.test_case "map_array preserves order" `Quick test_map_order;
     Alcotest.test_case "run covers exactly once" `Quick test_exactly_once_coverage;
-    Alcotest.test_case "parallel_for chunked coverage" `Quick test_parallel_for_chunked;
     Alcotest.test_case "exception propagates, pool survives" `Quick
       test_exception_propagates;
     Alcotest.test_case "nested submission runs inline" `Quick test_nested_runs_inline;
-    Alcotest.test_case "reduce_chunked bitwise invariant" `Quick
-      test_reduce_chunked_invariant_across_sizes;
-    Alcotest.test_case "run_local domain scratch" `Quick test_run_local_scratch;
     Alcotest.test_case "shutdown idempotent, then inline" `Quick
       test_shutdown_idempotent_and_inline;
     Alcotest.test_case "set_jobs roundtrip" `Quick test_set_jobs_roundtrip;

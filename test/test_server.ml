@@ -274,6 +274,46 @@ let test_handle_flows () =
         (Server.handle server Protocol.Shutdown = Ok Protocol.Shutting_down);
       check "stopping" true (Server.stopping server))
 
+(* A request's [jobs] is accepted and ignored: it must not resize the
+   process-wide pool, which would outlive the request and change every
+   later one. *)
+let test_request_jobs_ignored () =
+  with_server "jobs" (fun server _cfg ->
+      let before = Tdf_par.jobs () in
+      let asked = if before = 4 then 5 else 4 in
+      ignore (ok_or_fail (load server ~session:"a" (fixture 11)));
+      (match
+         ok_or_fail
+           (Server.handle server
+              (Protocol.Eco
+                 {
+                   session = "a";
+                   delta = Protocol.Text "move 3 10 10 0\n";
+                   radius = None;
+                   max_widenings = None;
+                   budget_ms = None;
+                   jobs = Some asked;
+                   tiles = None;
+                   want_placement = false;
+                 }))
+       with
+      | Protocol.Eco_applied { legal = true; _ } -> ()
+      | _ -> Alcotest.fail "wrong eco reply");
+      Alcotest.(check int) "pool size unchanged by eco" before (Tdf_par.jobs ());
+      ignore
+        (ok_or_fail
+           (Server.handle server
+              (Protocol.Legalize
+                 {
+                   session = "a";
+                   budget_ms = None;
+                   jobs = Some asked;
+                   tiles = None;
+                   want_placement = false;
+                 })));
+      Alcotest.(check int) "pool size unchanged by legalize" before
+        (Tdf_par.jobs ()))
+
 (* Satellite 1: the placement text a server reply carries is byte-identical
    to what the incremental engine produces directly, and every cell the
    delta did not touch keeps its exact line — the frozen-cell guarantee
@@ -1104,6 +1144,8 @@ let suite =
     Alcotest.test_case "response JSON round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "handle: load/eco/get-placement/stats/shutdown" `Quick
       test_handle_flows;
+    Alcotest.test_case "a request's jobs leaves the pool size alone" `Quick
+      test_request_jobs_ignored;
     Alcotest.test_case "byte-identity: wire placement = engine placement" `Quick
       test_byte_identity;
     Alcotest.test_case "LRU eviction honors max_sessions" `Quick
