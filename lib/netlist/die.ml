@@ -19,10 +19,6 @@ let row_y d r = d.outline.Rect.y + (r * d.row_height)
 
 let clamp_row d r = max 0 (min (num_rows d - 1) r)
 
-let row_of_y d y =
-  let r = (y - d.outline.Rect.y) / d.row_height in
-  clamp_row d r
-
 let nearest_row d y =
   let rel = y - d.outline.Rect.y in
   let r = int_of_float (Float.round (float_of_int rel /. float_of_int d.row_height)) in

@@ -30,9 +30,5 @@ val num_rows : t -> int
 val row_y : t -> int -> int
 (** [row_y d r] is the y coordinate of row [r]'s bottom edge. *)
 
-val row_of_y : t -> int -> int
-(** [row_of_y d y] is the index of the row whose span contains [y], clamped
-    to valid rows. *)
-
 val nearest_row : t -> int -> int
 (** Row index whose bottom edge is nearest to a (possibly unaligned) y. *)

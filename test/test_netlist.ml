@@ -15,14 +15,6 @@ let test_die_rows () =
   Alcotest.(check int) "row 0 y" 5 (Die.row_y d 0);
   Alcotest.(check int) "row 3 y" 35 (Die.row_y d 3)
 
-let test_die_row_of_y () =
-  let d = die0 () in
-  Alcotest.(check int) "row of 5" 0 (Die.row_of_y d 5);
-  Alcotest.(check int) "row of 14" 0 (Die.row_of_y d 14);
-  Alcotest.(check int) "row of 15" 1 (Die.row_of_y d 15);
-  Alcotest.(check int) "clamps below" 0 (Die.row_of_y d (-100));
-  Alcotest.(check int) "clamps above" 3 (Die.row_of_y d 1000)
-
 let test_die_nearest_row () =
   let d = die0 () in
   Alcotest.(check int) "9 rounds to row 0" 0 (Die.nearest_row d 9);
@@ -128,7 +120,6 @@ let test_placement_cell_rect () =
 let suite =
   [
     Alcotest.test_case "die rows" `Quick test_die_rows;
-    Alcotest.test_case "die row_of_y" `Quick test_die_row_of_y;
     Alcotest.test_case "die nearest_row" `Quick test_die_nearest_row;
     Alcotest.test_case "cell nearest_die" `Quick test_cell_nearest_die;
     Alcotest.test_case "cell width_on" `Quick test_cell_width_on;
