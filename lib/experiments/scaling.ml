@@ -18,10 +18,13 @@ let run ?(scales = [ 0.02; 0.05; 0.1; 0.2 ]) suite case =
     (fun scale ->
       Tdf_telemetry.span "scaling.point" @@ fun () ->
       let design = Tdf_benchgen.Gen.generate_by_name ~scale suite case in
+      (* The grid Ours legalizes on, at the default bin width. *)
       let bins =
         Tdf_grid.Grid.n_bins
           (Tdf_grid.Grid.build design
-             ~bin_width:(Flow3d.flow_bin_width design ~factor:10.))
+             ~bin_width:
+               (Flow3d.flow_bin_width design
+                  ~factor:Config.default.Config.bin_width_factor))
       in
       let _, tetris_s = Tdf_util.Timer.time (fun () -> Tdf_baselines.Tetris.legalize design) in
       let _, abacus_s = Tdf_util.Timer.time (fun () -> Tdf_baselines.Abacus.legalize design) in

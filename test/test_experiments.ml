@@ -58,13 +58,19 @@ let test_render () =
 let test_scaling_point () =
   let module S = Tdf_experiments.Scaling in
   let suite = Tdf_benchgen.Spec.Iccad2023 in
-  let cells =
-    Tdf_netlist.Design.n_cells
-      (Tdf_benchgen.Gen.generate_by_name ~scale:0.005 suite "case4")
+  let design = Tdf_benchgen.Gen.generate_by_name ~scale:0.005 suite "case4" in
+  let bins =
+    let module Flow3d = Tdf_legalizer.Flow3d in
+    let factor = Tdf_legalizer.Config.default.Tdf_legalizer.Config.bin_width_factor in
+    Tdf_grid.Grid.n_bins
+      (Tdf_grid.Grid.build design
+         ~bin_width:(Flow3d.flow_bin_width design ~factor))
   in
   match S.run ~scales:[ 0.005 ] suite "case4" with
   | [ p ] ->
-    Alcotest.(check int) "cells of the generated design" cells p.S.sc_cells;
+    Alcotest.(check int) "cells of the generated design"
+      (Tdf_netlist.Design.n_cells design) p.S.sc_cells;
+    Alcotest.(check int) "bins of the default-width grid" bins p.S.sc_bins;
     List.iter
       (fun (name, v) ->
         Alcotest.(check bool) (name ^ " finite and positive") true
