@@ -51,13 +51,6 @@ let inert name ~why =
 let tiles_term =
   inert "tiles" ~why:"the flow pass is no longer sharded into tiles"
 
-(* serve's knobs: the inert --jobs beside the inert --tiles. *)
-let serve_knobs_term =
-  Term.(
-    const (fun () () -> ())
-    $ inert "jobs" ~why:"every request runs sequentially"
-    $ tiles_term)
-
 (* ---- telemetry ----------------------------------------------------- *)
 
 type telemetry_opts = {
@@ -703,7 +696,7 @@ let serve_cmd =
         ~after:(int_field "after" after) site
     | _ -> failwith ("bad --arm-failpoint spec " ^ spec)
   in
-  let run () socket max_sessions max_frame budget_ms journal_dir fsync
+  let run () () socket max_sessions max_frame budget_ms journal_dir fsync
       snapshot_every max_pending max_conn_queue idle_timeout deadline_ms
       arm_failpoint tele =
     with_telemetry tele @@ fun () ->
@@ -778,7 +771,9 @@ let serve_cmd =
           crashes: every mutating request is journaled before its reply \
           and replayed on restart.")
     Term.(
-      const run $ serve_knobs_term $ socket_arg $ max_sessions $ max_frame
+      const run
+      $ inert "jobs" ~why:"every request runs sequentially"
+      $ tiles_term $ socket_arg $ max_sessions $ max_frame
       $ budget_ms $ journal_dir $ fsync $ snapshot_every $ max_pending
       $ max_conn_queue $ idle_timeout $ deadline_ms $ arm_failpoint
       $ telemetry_term)
