@@ -28,8 +28,8 @@ type t = {
 }
 
 (* True while this domain executes a pool task.  Makes nested submissions
-   (a task computing metrics that themselves fan out) run inline instead
-   of re-entering the pool and deadlocking against the outer job. *)
+   (a grid task that itself submits to the pool) run inline instead of
+   re-entering the pool and deadlocking against the outer job. *)
 let in_task_key = Domain.DLS.new_key (fun () -> false)
 
 let in_task () = Domain.DLS.get in_task_key

@@ -1,5 +1,5 @@
 (** Fixed-size [Domain] pool with deterministic fan-out.  Its one user is
-    the experiments grid ({!Tdf_experiments.Runner}), whose tasks are
+    the experiments grid ([Tdf_experiments.Runner]), whose tasks are
     whole legalizer runs; everything inside a run is sequential.
 
     The pool owns [size - 1] worker domains (the submitting domain is the
@@ -13,7 +13,7 @@
 
     - a submission's output depends only on its inputs, never on the pool
       size or the interleaving — provided tasks touch disjoint mutable
-      state (distinct result slots, ...);
+      state (distinct result slots);
     - telemetry emitted inside tasks is captured per task and replayed on
       the submitting domain in submission-index order at join, so sinks
       observe one deterministic event stream and are never called

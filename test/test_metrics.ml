@@ -106,7 +106,10 @@ let test_chunked_summation_order () =
             (float_of_int p.Placement.y.(c) +. (float_of_int h /. 2.)) :: ys ))
         ([], []) d.Design.nets.(i).Net.pins
     in
-    let span l = List.fold_left Float.max neg_infinity l -. List.fold_left Float.min infinity l in
+    let span l =
+      List.fold_left Float.max neg_infinity l
+      -. List.fold_left Float.min infinity l
+    in
     span xs +. span ys
   in
   let bits = Int64.bits_of_float in
