@@ -32,20 +32,15 @@ module Builder = struct
     mutable e_cost : int array;
   }
 
-  let create ?(edges_hint = 16) n =
-    let cap = max 1 edges_hint in
+  let create n =
     {
       n;
       m = 0;
-      e_src = Array.make cap 0;
-      e_dst = Array.make cap 0;
-      e_cap = Array.make cap 0;
-      e_cost = Array.make cap 0;
+      e_src = Array.make 16 0;
+      e_dst = Array.make 16 0;
+      e_cap = Array.make 16 0;
+      e_cost = Array.make 16 0;
     }
-
-  let n_vertices b = b.n
-
-  let n_edges b = b.m
 
   let grow b =
     let cap = Array.length b.e_src in
@@ -90,7 +85,6 @@ module Csr = struct
     a_cost : int array;
     a_rev : int array;  (* csr position of the paired reverse arc *)
     fwd_pos : int array;  (* edge handle -> csr position of its forward arc *)
-    cap0 : int array;  (* pristine capacities for reset_caps *)
   }
 
   (* Arc placement order mirrors the staged add_edge order per bucket
@@ -132,13 +126,7 @@ module Csr = struct
       a_rev.(pb) <- pf;
       fwd_pos.(k) <- pf
     done;
-    { n; m; head; a_dst; a_cap; a_cost; a_rev; fwd_pos; cap0 = Array.copy a_cap }
-
-  let n_vertices g = g.n
-
-  let n_edges g = g.m
-
-  let reset_caps g = Array.blit g.cap0 0 g.a_cap 0 (2 * g.m)
+    { n; m; head; a_dst; a_cap; a_cost; a_rev; fwd_pos }
 
   let flow_on g handle =
     if handle < 0 || handle >= g.m then invalid_arg "Mcmf.flow_on: bad handle";
@@ -509,8 +497,6 @@ type t = {
 }
 
 let create n = { builder = Builder.create n; frozen = None; ws = None }
-
-let n_vertices t = Builder.n_vertices t.builder
 
 let add_edge t ~src ~dst ~cap ~cost =
   (* Staging a new edge after a freeze discards the frozen residual state:

@@ -19,8 +19,8 @@
     - {!Builder} stages edges into flat growable [int array]s;
     - {!Csr} is the frozen compressed-sparse-row residual graph: five
       [int array] fields ([head]/[dst]/[cap]/[cost]/[rev]), the only
-      mutable state being the residual capacities (resettable with
-      {!Csr.reset_caps} for repeated solves);
+      mutable state being the residual capacities (a fresh
+      {!Csr.of_builder} starts a re-solve from the staged ones);
     - {!Workspace} holds the per-solve scratch (dist/prev/potential labels,
       the radix heap and the DFS cursors), allocated once and reused across
       {!solve_csr} calls.
@@ -60,17 +60,12 @@ type solution = {
 module Builder : sig
   type t
 
-  val create : ?edges_hint:int -> int -> t
-  (** [create n] stages a graph on vertices [0 .. n-1]; [edges_hint]
-      pre-sizes the edge arrays. *)
-
-  val n_vertices : t -> int
-
-  val n_edges : t -> int
+  val create : int -> t
+  (** [create n] stages a graph on vertices [0 .. n-1]. *)
 
   val add_edge : t -> src:int -> dst:int -> cap:int -> cost:int -> int
   (** Stages a directed edge and returns its handle: the explicit arc id
-      [0 .. n_edges-1] in staging order (no vertex/index bit-packing, so
+      in staging order, counting from 0 (no vertex/index bit-packing, so
       handles never alias regardless of graph size).  Requires [cap >= 0]
       and in-range endpoints ([Invalid_argument] otherwise).  Self-loops
       and parallel edges are allowed. *)
@@ -79,22 +74,11 @@ end
 module Csr : sig
   type t
   (** Frozen residual graph in compressed-sparse-row form.  Immutable
-      except for the residual capacities, which {!solve_csr} updates and
-      {!reset_caps} restores. *)
+      except for the residual capacities, which {!solve_csr} updates. *)
 
   val of_builder : Builder.t -> t
   (** Freeze the staged edges.  The builder remains usable (freezing again
       yields an independent graph with pristine capacities). *)
-
-  val n_vertices : t -> int
-
-  val n_edges : t -> int
-  (** Staged (forward) edges; the residual graph holds twice as many arcs. *)
-
-  val reset_caps : t -> unit
-  (** Restore all residual capacities to their staged values, undoing any
-      flow pushed by previous solves — the cheap path to repeated solves
-      on one graph. *)
 
   val flow_on : t -> int -> int
   (** Flow currently routed through an edge handle (as returned by
@@ -141,8 +125,6 @@ type t
 
 val create : int -> t
 (** [create n] makes an empty graph on vertices [0 .. n-1]. *)
-
-val n_vertices : t -> int
 
 val add_edge : t -> src:int -> dst:int -> cap:int -> cost:int -> int
 (** Adds a directed edge and its residual reverse edge; returns the edge's

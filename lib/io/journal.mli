@@ -48,7 +48,7 @@ type fsync_policy =
   | Never  (** leave flushing to the OS: fastest, weakest *)
 
 val default_fsync : fsync_policy
-(** [Every 8] — the measured-overhead default the serve benchmark gates. *)
+(** [Every 8], the policy the ledger's [serve-2023c2] daemon runs under. *)
 
 val fsync_policy_of_string : string -> (fsync_policy, string) result
 (** Parses ["always"], ["never"], ["every:N"] (N >= 1). *)

@@ -1,13 +1,13 @@
 (* Determinism regression suite: the experiments grid is the one parallel
    section, and it must be invisible in the results.  Regenerating the grid
-   with 1, 2 or 8 worker domains yields byte-identical output — the
+   with 1, 2, 4 or 8 worker domains yields byte-identical output — the
    property `compare --jobs` documents and the pool's
    merge-in-submission-order design exists to guarantee. *)
 
 module Runner = Tdf_experiments.Runner
 module Spec = Tdf_benchgen.Spec
 
-let job_counts = [ 1; 2; 8 ]
+let job_counts = [ 1; 2; 4; 8 ]
 
 (* Run [f] under each job count and return one result per count, with the
    default pool restored afterwards. *)

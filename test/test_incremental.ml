@@ -1,6 +1,6 @@
 (* Incremental (ECO) engine: delta parsing, perturbation semantics, and
    differential properties of the localized re-legalization — legal
-   results, frozen regions, bounded disturbance, job-count determinism. *)
+   results, frozen regions, bounded disturbance, warm-session identity. *)
 
 module Design = Tdf_netlist.Design
 module Cell = Tdf_netlist.Cell
@@ -408,6 +408,37 @@ let eco_exn d prev delta =
   | Ok r -> r
   | Error e -> failwith (Eco.error_to_string e)
 
+(* Move-only ECOs of 0.2%, 1% and 5% of iccad2023/case2 at scale 0.05
+   (1, 6 and 34 of its 695 cells) from its legal signoff: each must come
+   back legal without a full-legalization fallback, and a from-scratch
+   run of the perturbed design must be legal too. *)
+let test_eco_delta_sizes_legal_without_fallback () =
+  let d =
+    Tdf_benchgen.Gen.generate_by_name ~scale:0.05 Tdf_benchgen.Spec.Iccad2023
+      "case2"
+  in
+  let prev = (Flow3d.legalize d).Flow3d.placement in
+  check "signoff legal" true (Legality.is_legal d prev);
+  Alcotest.(check int) "cells" 695 (Design.n_cells d);
+  List.iter
+    (fun k ->
+      let rng = Prng.of_string (Printf.sprintf "eco-sizes-%d" k) in
+      let delta = jitter_delta rng d prev k in
+      let r = eco_exn d prev delta in
+      check
+        (Printf.sprintf "%d moves: legal" k)
+        true
+        (Legality.is_legal r.Eco.design r.Eco.placement);
+      Alcotest.(check int)
+        (Printf.sprintf "%d moves: fallbacks" k)
+        0 r.Eco.stats.Eco.fallbacks;
+      check
+        (Printf.sprintf "%d moves: from-scratch legal" k)
+        true
+        (Legality.is_legal r.Eco.design
+           (Flow3d.legalize r.Eco.design).Flow3d.placement))
+    [ 1; 6; 34 ]
+
 let prop_eco_legal =
   Props.test "random delta on legal placement stays legal" ~count:25
     (Props.int_range 0 1_000_000) (fun seed ->
@@ -457,6 +488,8 @@ let suite =
       test_eco_freezes_outside_region;
     Alcotest.test_case "warm session equals one-shot eco" `Quick
       test_warm_eco_equals_one_shot;
+    Alcotest.test_case "eco delta sizes legal without fallback" `Quick
+      test_eco_delta_sizes_legal_without_fallback;
     prop_perturb_matches_reference;
     prop_eco_legal;
     prop_eco_displacement_bounded;

@@ -28,5 +28,4 @@ let () =
       ("incremental", Test_incremental.suite);
       ("server", Test_server.suite);
       ("journal", Test_journal.suite);
-      ("gate", Test_gate.suite);
     ]

@@ -25,7 +25,7 @@ module Prng = Tdf_util.Prng
 
 let failf fmt = Printf.ksprintf (fun m -> prerr_endline ("CHAOS: " ^ m); exit 1) fmt
 
-(* ---- process plumbing (mirrors bench/main.ml) ------------------------ *)
+(* ---- process plumbing ------------------------------------------------ *)
 
 let legalize_exe () =
   let near = Filename.dirname (Filename.dirname Sys.executable_name) in
