@@ -64,9 +64,13 @@ let eps = 1e-6
 
 (* Min-cost max-flow feasibility precheck over the dirty subgraph: every
    unit of supply inside the region must be routable to demand without
-   leaving it.  Caps are conservative (supply rounded up, demand rounded
-   down), so a pass is no guarantee — but a fail means the masked flow
-   pass cannot succeed either, and we widen without burning a search. *)
+   leaving it.  Supplies are rounded up and demands down, so this integer
+   problem is harder than the fractional one the masked pass solves: a
+   pass is no guarantee, and a fail does not prove the pass would fail
+   (a 0.3 overflow beside 0.7 of free width fails here, yet one
+   horizontal fractional move resolves it).  It is a filter: a fail
+   widens the region without burning a search, and may widen a region
+   that was already feasible. *)
 let precheck ~ws ~(flow_cfg : Config.t) grid mask =
   let n = Grid.n_bins grid in
   (* Remap dirty bins to contiguous vertices; source = n_dirty,

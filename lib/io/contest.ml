@@ -59,58 +59,79 @@ let flush_net st =
     st.cur_net <- None
   | None -> ()
 
-let die_of_word ~line = function
-  | "Top" | "top" -> 1
-  | "Bottom" | "bottom" -> 0
-  | w -> fail "line %d: expected Top or Bottom, got %S" line w
+let die_of_word cur k =
+  if is cur k "Top" || is cur k "top" then 1
+  else if is cur k "Bottom" || is cur k "bottom" then 0
+  else fail "line %d: expected Top or Bottom, got %S" (line cur) (word cur k)
 
-let handle st line words =
-  match words with
-  | [ "NumTechnologies"; _ ] | [ "NumInstances"; _ ] | [ "NumNets"; _ ] -> ()
-  | [ "Tech"; name; _count ] ->
+(* One record.  Fields are read in the order the list-based reader
+   evaluated them, right to left within each tuple, so a line with several
+   bad fields reports the same one. *)
+let handle st cur =
+  let n = words cur and kw = is cur 0 in
+  if n = 2 && (kw "NumTechnologies" || kw "NumInstances" || kw "NumNets") then ()
+  else if n = 3 && kw "Tech" then begin
     let tbl = Hashtbl.create 16 in
-    Hashtbl.replace st.techs name tbl;
+    Hashtbl.replace st.techs (word cur 1) tbl;
     st.cur_tech <- Some tbl
-  | [ "LibCell"; name; sx; sy ] ->
-    (match st.cur_tech with
-    | Some tbl -> Hashtbl.replace tbl name (int_of ~line sx, int_of ~line sy)
-    | None -> fail "line %d: LibCell outside a Tech section" line)
-  | [ "DieSize"; lx; ly; ux; uy ] ->
-    st.die_size <-
-      Some (int_of ~line lx, int_of ~line ly, int_of ~line ux, int_of ~line uy)
-  | [ "TopDieMaxUtil"; p ] -> st.top_util <- float_of ~line p
-  | [ "BottomDieMaxUtil"; p ] -> st.bottom_util <- float_of ~line p
-  | [ "TopDieRows"; x; y; len; h; n ] ->
-    st.top_rows <-
-      Some (int_of ~line x, int_of ~line y, int_of ~line len, int_of ~line h, int_of ~line n)
-  | [ "BottomDieRows"; x; y; len; h; n ] ->
-    st.bottom_rows <-
-      Some (int_of ~line x, int_of ~line y, int_of ~line len, int_of ~line h, int_of ~line n)
-  | [ "TopDieTech"; t ] -> st.top_tech <- Some t
-  | [ "BottomDieTech"; t ] -> st.bottom_tech <- Some t
-  | [ "TerminalSize"; sx; _sy ] -> st.term_size <- Some (int_of ~line sx)
-  | [ "TerminalSpacing"; s ] -> st.term_spacing <- Some (int_of ~line s)
-  | [ "Inst"; name; lib ] -> st.insts <- { ri_name = name; ri_lib = lib } :: st.insts
-  | [ "Net"; name; npins ] ->
+  end
+  else if n = 4 && kw "LibCell" then begin
+    match st.cur_tech with
+    | Some tbl ->
+      let sy = int cur 3 in
+      Hashtbl.replace tbl (word cur 1) (int cur 2, sy)
+    | None -> fail "line %d: LibCell outside a Tech section" (line cur)
+  end
+  else if n = 5 && kw "DieSize" then begin
+    let uy = int cur 4 in
+    let ux = int cur 3 in
+    let ly = int cur 2 in
+    st.die_size <- Some (int cur 1, ly, ux, uy)
+  end
+  else if n = 2 && kw "TopDieMaxUtil" then st.top_util <- float cur 1
+  else if n = 2 && kw "BottomDieMaxUtil" then st.bottom_util <- float cur 1
+  else if n = 6 && (kw "TopDieRows" || kw "BottomDieRows") then begin
+    let rows = int cur 5 in
+    let h = int cur 4 in
+    let len = int cur 3 in
+    let y = int cur 2 in
+    let r = Some (int cur 1, y, len, h, rows) in
+    if kw "TopDieRows" then st.top_rows <- r else st.bottom_rows <- r
+  end
+  else if n = 2 && kw "TopDieTech" then st.top_tech <- Some (word cur 1)
+  else if n = 2 && kw "BottomDieTech" then st.bottom_tech <- Some (word cur 1)
+  else if n = 3 && kw "TerminalSize" then st.term_size <- Some (int cur 1)
+  else if n = 2 && kw "TerminalSpacing" then st.term_spacing <- Some (int cur 1)
+  else if n = 3 && kw "Inst" then
+    st.insts <- { ri_name = word cur 1; ri_lib = word cur 2 } :: st.insts
+  else if n = 3 && kw "Net" then begin
     flush_net st;
-    st.cur_net <- Some (name, int_of ~line npins, [])
-  | [ "Pin"; pin ] ->
-    (match st.cur_net with
+    st.cur_net <- Some (word cur 1, int cur 2, [])
+  end
+  else if n = 2 && kw "Pin" then begin
+    match st.cur_net with
     | Some (name, expected, pins) ->
+      let pin = word cur 1 in
       let inst =
         match String.index_opt pin '/' with
         | Some i -> String.sub pin 0 i
         | None -> pin
       in
       st.cur_net <- Some (name, expected, inst :: pins)
-    | None -> fail "line %d: Pin outside a Net section" line)
-  | [ "Place"; inst; x; y; z ] ->
-    Hashtbl.replace st.places inst (int_of ~line x, int_of ~line y, float_of ~line z)
-  | [ "FixedInst"; name; lib; die; x; y ] ->
-    st.fixed <-
-      (name, lib, die_of_word ~line die, int_of ~line x, int_of ~line y) :: st.fixed
-  | kw :: _ -> fail "line %d: unrecognized record %S" line kw
-  | [] -> ()
+    | None -> fail "line %d: Pin outside a Net section" (line cur)
+  end
+  else if n = 5 && kw "Place" then begin
+    let z = float cur 4 in
+    let y = int cur 3 in
+    Hashtbl.replace st.places (word cur 1) (int cur 2, y, z)
+  end
+  else if n = 6 && kw "FixedInst" then begin
+    let y = int cur 5 in
+    let x = int cur 4 in
+    let die = die_of_word cur 3 in
+    st.fixed <- (word cur 1, word cur 2, die, x, y) :: st.fixed
+  end
+  else fail "line %d: unrecognized record %S" (line cur) (word cur 0)
 
 let build st =
   let lx, ly, ux, uy =
@@ -200,7 +221,10 @@ let build st =
 let read text =
   try
     let st = fresh_state () in
-    Lines.iter text (handle st);
+    let cur = Lines.cursor text in
+    while Lines.next cur do
+      handle st cur
+    done;
     flush_net st;
     let design, terminal = build st in
     match Design.validate design with

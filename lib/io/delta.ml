@@ -1,5 +1,5 @@
 (* ECO delta text format; see the interface for the grammar.  Records
-   come from [Lines], the tokenizer [Text] and [Contest] share. *)
+   come from the [Lines] cursor, which [Text] and [Contest] share. *)
 
 type op =
   | Move of { cell : int; x : int; y : int; die : int }
@@ -12,36 +12,46 @@ type t = op list
 
 open Lines
 
-let widths_of ~line ws =
-  let a = Array.of_list (List.map (int_of ~line) ws) in
-  Array.iter (fun w -> if w <= 0 then fail "line %d: width must be positive" line) a;
+(* Words [k..] of the current line as widths: all read, then checked. *)
+let widths_of cur k =
+  let a = ints cur k in
+  Array.iter (fun w -> if w <= 0 then fail "line %d: width must be positive" (line cur)) a;
   a
 
+(* Fields are read in the order the list-based reader evaluated them,
+   right to left within each record, so a line with several bad fields
+   reports the same one. *)
 let read text =
   try
     let ops = ref [] in
-    Lines.iter text (fun line words ->
-        let op =
-          match words with
-          | [ "move"; c; x; y; d ] ->
-            Move
-              { cell = int_of ~line c; x = int_of ~line x; y = int_of ~line y;
-                die = int_of ~line d }
-          | "resize" :: c :: ws when ws <> [] ->
-            Resize { cell = int_of ~line c; widths = widths_of ~line ws }
-          | "add" :: name :: x :: y :: d :: ws when ws <> [] ->
-            Add
-              { name; x = int_of ~line x; y = int_of ~line y;
-                die = int_of ~line d; widths = widths_of ~line ws }
-          | [ "remove"; c ] -> Remove { cell = int_of ~line c }
-          | [ "macro"; name; d; x; y; w; h ] ->
-            Add_macro
-              { name; die = int_of ~line d; x = int_of ~line x;
-                y = int_of ~line y; w = int_of ~line w; h = int_of ~line h }
-          | kw :: _ -> fail "line %d: unrecognized delta op %S" line kw
-          | [] -> assert false
-        in
-        ops := op :: !ops);
+    let cur = Lines.cursor text in
+    while Lines.next cur do
+      let n = words cur in
+      let op =
+        if n = 5 && is cur 0 "move" then
+          let die = int cur 4 in
+          let y = int cur 3 in
+          let x = int cur 2 in
+          Move { cell = int cur 1; x; y; die }
+        else if n >= 3 && is cur 0 "resize" then
+          let widths = widths_of cur 2 in
+          Resize { cell = int cur 1; widths }
+        else if n >= 6 && is cur 0 "add" then
+          let widths = widths_of cur 5 in
+          let die = int cur 4 in
+          let y = int cur 3 in
+          Add { name = word cur 1; x = int cur 2; y; die; widths }
+        else if n = 2 && is cur 0 "remove" then Remove { cell = int cur 1 }
+        else if n = 7 && is cur 0 "macro" then
+          let h = int cur 6 in
+          let w = int cur 5 in
+          let y = int cur 4 in
+          let x = int cur 3 in
+          Add_macro { name = word cur 1; die = int cur 2; x; y; w; h }
+        else fail "line %d: unrecognized delta op %S" (line cur) (word cur 0)
+      in
+      ops := op :: !ops
+    done;
     Ok (List.rev !ops)
   with Parse msg -> Error msg
 

@@ -75,58 +75,114 @@ let render_design (d : Design.t) =
 
 let design_to_string d = Buffer.contents (render_design d)
 
+(* Stand-ins that fill the record arrays until pass 2 writes them. *)
+let no_die =
+  Die.make ~index:0 ~outline:(Rect.make ~x:0 ~y:0 ~w:0 ~h:0) ~row_height:1 ()
+
+let no_cell = Cell.make ~id:0 ~widths:[| 1 |] ~gp_x:0 ~gp_y:0 ~gp_z:0. ()
+
+let no_macro = Blockage.make ~id:0 ~die:0 ~rect:no_die.Die.outline ()
+
+let no_net = Net.make ~id:0 ~pins:[| 0 |] ()
+
+(* The records in id order.  Files written by [render_design] list them in
+   order already; otherwise this is the order a stable sort of the records
+   in reverse file order gives, so of two equal ids the later one comes
+   first. *)
+let by_id id a =
+  let n = Array.length a in
+  let k = ref 1 in
+  while !k < n && id a.(!k - 1) < id a.(!k) do
+    incr k
+  done;
+  if !k < n then begin
+    for i = 0 to (n / 2) - 1 do
+      let t = a.(i) in
+      a.(i) <- a.(n - 1 - i);
+      a.(n - 1 - i) <- t
+    done;
+    Array.stable_sort (fun x y -> Int.compare (id x) (id y)) a
+  end;
+  a
+
+(* Pass 1 counts the records of each kind, so pass 2 fills arrays of their
+   final size.  A counted line that is no record fails pass 2, so the
+   counts are exact whenever the read succeeds.  Pass 2 reads the fields
+   of a record in the order the list-based reader evaluated them (right to
+   left within each constructor call), so a line with several bad fields
+   reports the same one. *)
 let read_design text =
   try
+    let cur = Lines.cursor text in
+    let n_dies = ref 0 and n_cells = ref 0 and n_macros = ref 0 and n_nets = ref 0 in
+    while Lines.next_head cur do
+      if is cur 0 "cell" || is cur 0 "cellw" then incr n_cells
+      else if is cur 0 "net" then incr n_nets
+      else if is cur 0 "macro" then incr n_macros
+      else if is cur 0 "die" then incr n_dies
+    done;
+    let dies = Array.make !n_dies no_die and cells = Array.make !n_cells no_cell in
+    let macros = Array.make !n_macros no_macro and nets = Array.make !n_nets no_net in
+    let n_dies = ref 0 and n_cells = ref 0 and n_macros = ref 0 and n_nets = ref 0 in
+    let add a n v =
+      a.(!n) <- v;
+      incr n
+    in
     let name = ref "unnamed" in
-    let dies = ref [] and cells = ref [] and macros = ref [] and nets = ref [] in
-    Lines.iter text (fun line words ->
-        match words with
-        | "design" :: n :: _ -> name := n
-        | [ "die"; i; x; y; w; h; rh; sw; mu ] ->
-          let outline =
-            Rect.make ~x:(int_of ~line x) ~y:(int_of ~line y) ~w:(int_of ~line w)
-              ~h:(int_of ~line h)
-          in
-          dies :=
-            Die.make ~index:(int_of ~line i) ~outline
-              ~row_height:(int_of ~line rh) ~site_width:(int_of ~line sw)
-              ~max_util:(float_of ~line mu) ()
-            :: !dies
-        | "cell" :: id :: cname :: x :: y :: z :: ws when ws <> [] ->
-          let widths = Array.of_list (List.map (int_of ~line) ws) in
-          cells :=
-            Cell.make ~id:(int_of ~line id) ~name:cname ~widths
-              ~gp_x:(int_of ~line x) ~gp_y:(int_of ~line y)
-              ~gp_z:(float_of ~line z) ()
-            :: !cells
-        | "cellw" :: id :: cname :: x :: y :: z :: wt :: ws when ws <> [] ->
-          let widths = Array.of_list (List.map (int_of ~line) ws) in
-          cells :=
-            Cell.make ~id:(int_of ~line id) ~name:cname
-              ~weight:(float_of ~line wt) ~widths ~gp_x:(int_of ~line x)
-              ~gp_y:(int_of ~line y) ~gp_z:(float_of ~line z) ()
-            :: !cells
-        | [ "macro"; id; mname; die; x; y; w; h ] ->
-          let rect =
-            Rect.make ~x:(int_of ~line x) ~y:(int_of ~line y) ~w:(int_of ~line w)
-              ~h:(int_of ~line h)
-          in
-          macros :=
-            Blockage.make ~id:(int_of ~line id) ~name:mname
-              ~die:(int_of ~line die) ~rect ()
-            :: !macros
-        | "net" :: id :: nname :: ps when ps <> [] ->
-          let pins = Array.of_list (List.map (int_of ~line) ps) in
-          nets := Net.make ~id:(int_of ~line id) ~name:nname ~pins () :: !nets
-        | kw :: _ -> fail "line %d: unrecognized record %S" line kw
-        | [] -> ());
-    let sort_by f l = List.sort (fun a b -> compare (f a) (f b)) l in
+    let cur = Lines.cursor text in
+    while Lines.next cur do
+      let n = words cur in
+      if n >= 7 && is cur 0 "cell" then begin
+        let widths = ints cur 6 in
+        let gp_z = float cur 5 in
+        let gp_y = int cur 4 in
+        let gp_x = int cur 3 in
+        add cells n_cells
+          (Cell.make ~id:(int cur 1) ~name:(word cur 2) ~widths ~gp_x ~gp_y ~gp_z ())
+      end
+      else if n >= 8 && is cur 0 "cellw" then begin
+        let widths = ints cur 7 in
+        let gp_z = float cur 5 in
+        let gp_y = int cur 4 in
+        let gp_x = int cur 3 in
+        let weight = float cur 6 in
+        add cells n_cells
+          (Cell.make ~id:(int cur 1) ~name:(word cur 2) ~weight ~widths ~gp_x ~gp_y
+             ~gp_z ())
+      end
+      else if n = 8 && is cur 0 "macro" then begin
+        let h = int cur 7 in
+        let w = int cur 6 in
+        let y = int cur 5 in
+        let rect = Rect.make ~x:(int cur 4) ~y ~w ~h in
+        let die = int cur 3 in
+        add macros n_macros
+          (Blockage.make ~id:(int cur 1) ~name:(word cur 2) ~die ~rect ())
+      end
+      else if n >= 4 && is cur 0 "net" then begin
+        let pins = ints cur 3 in
+        add nets n_nets (Net.make ~id:(int cur 1) ~name:(word cur 2) ~pins ())
+      end
+      else if n >= 2 && is cur 0 "design" then name := word cur 1
+      else if n = 9 && is cur 0 "die" then begin
+        let h = int cur 5 in
+        let w = int cur 4 in
+        let y = int cur 3 in
+        let outline = Rect.make ~x:(int cur 2) ~y ~w ~h in
+        let max_util = float cur 8 in
+        let site_width = int cur 7 in
+        let row_height = int cur 6 in
+        add dies n_dies
+          (Die.make ~index:(int cur 1) ~outline ~row_height ~site_width ~max_util ())
+      end
+      else fail "line %d: unrecognized record %S" (line cur) (word cur 0)
+    done;
     let design =
       Design.make ~name:!name
-        ~dies:(Array.of_list (sort_by (fun d -> d.Die.index) !dies))
-        ~cells:(Array.of_list (sort_by (fun c -> c.Cell.id) !cells))
-        ~macros:(Array.of_list (sort_by (fun m -> m.Blockage.id) !macros))
-        ~nets:(Array.of_list (sort_by (fun n -> n.Net.id) !nets))
+        ~dies:(by_id (fun d -> d.Die.index) dies)
+        ~cells:(by_id (fun c -> c.Cell.id) cells)
+        ~macros:(by_id (fun m -> m.Blockage.id) macros)
+        ~nets:(by_id (fun n -> n.Net.id) nets)
         ()
     in
     match Design.validate design with
@@ -156,17 +212,18 @@ let placement_to_string _design p = Buffer.contents (render_placement p)
 let read_placement design text =
   try
     let p = Placement.initial design in
-    Lines.iter text (fun line words ->
-        match words with
-        | [ "place"; c; x; y; d ] ->
-          let c = int_of ~line c in
-          if c < 0 || c >= Placement.n_cells p then
-            fail "line %d: cell %d out of range" line c;
-          p.Placement.x.(c) <- int_of ~line x;
-          p.Placement.y.(c) <- int_of ~line y;
-          p.Placement.die.(c) <- int_of ~line d
-        | kw :: _ -> fail "line %d: unrecognized record %S" line kw
-        | [] -> ());
+    let cur = Lines.cursor text in
+    while Lines.next cur do
+      if words cur = 5 && is cur 0 "place" then begin
+        let c = int cur 1 in
+        if c < 0 || c >= Placement.n_cells p then
+          fail "line %d: cell %d out of range" (line cur) c;
+        p.Placement.x.(c) <- int cur 2;
+        p.Placement.y.(c) <- int cur 3;
+        p.Placement.die.(c) <- int cur 4
+      end
+      else fail "line %d: unrecognized record %S" (line cur) (word cur 0)
+    done;
     Ok p
   with Parse msg -> Error msg
 

@@ -4,7 +4,6 @@ type t = {
   d2d_edges : bool;
   allow_negative_cost : bool;
   exhaustive : bool;
-  d2d_penalty : bool;
   d2d_base_cost : float;
   post_opt : bool;
   post_opt_passes : int;
@@ -18,7 +17,6 @@ let default =
     d2d_edges = true;
     allow_negative_cost = true;
     exhaustive = false;
-    d2d_penalty = true;
     d2d_base_cost = 2.0;
     post_opt = true;
     post_opt_passes = 3;
@@ -33,6 +31,5 @@ let bonn_emulation =
     d2d_edges = false;
     allow_negative_cost = false;
     exhaustive = true;
-    d2d_penalty = false;
     post_opt = false;
   }

@@ -20,8 +20,6 @@ type t = {
       (** explore the whole reachable graph per supply bin before picking
           the best path (vanilla Dijkstra SSP, as BonnPlaceLegal); the
           branch-and-bound pruning is disabled. *)
-  d2d_penalty : bool;
-      (** add the Eq. 7 congestion term [sup(v) − dem(v)] on D2D edges. *)
   d2d_base_cost : float;
       (** fixed cost of crossing a D2D edge, in multiples of the source
           die's row height.  Models the hybrid-bonding terminal

@@ -23,11 +23,7 @@ let edge_extra cfg grid ~(dst : Grid.bin) ~kind =
     (* Eq. 7 term, normalized from width units to distance units so it is
        commensurate with D_c: (sup − dem)/cap ∈ [−1, …] scaled by h_r. *)
     let congestion =
-      if cfg.Config.d2d_penalty then
-        (Grid.supply dst -. Grid.demand dst)
-        /. float_of_int (max 1 (Grid.cap dst))
-        *. h_r
-      else 0.
+      (Grid.supply dst -. Grid.demand dst) /. float_of_int (max 1 (Grid.cap dst)) *. h_r
     in
     (cfg.Config.d2d_base_cost *. h_r) +. congestion
   | Grid.Horizontal | Grid.Vertical -> 0.

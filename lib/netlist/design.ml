@@ -66,9 +66,10 @@ let validate t =
     t.macros;
   Array.iter
     (fun n ->
-      Array.iter
-        (fun p ->
-          if p < 0 || p >= n_cells t then err "net %s references missing cell %d" n.Net.name p)
-        n.Net.pins)
+      (* a loop, not a closure per net: every design load runs this *)
+      for k = 0 to Array.length n.Net.pins - 1 do
+        let p = n.Net.pins.(k) in
+        if p < 0 || p >= n_cells t then err "net %s references missing cell %d" n.Net.name p
+      done)
     t.nets;
   if !errors = [] then Ok () else Error (List.rev !errors)

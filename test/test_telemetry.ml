@@ -356,6 +356,57 @@ let test_concurrent_spans_per_domain_depth () =
       (Aggregate.span_count agg (name ^ ".in"))
   done
 
+(* The run-based printer and parser against their byte-at-a-time
+   references (ref_json.ml): the same bytes out, and on printed values,
+   their truncations and random edits the same value or the same error
+   string, offsets included. *)
+let string_pieces =
+  [| "a"; "plain run "; "\""; "\\"; "\n"; "\r"; "\t"; "\000"; "\031"; "\127"; "\xc3\xa9";
+     "/"; "\\u"; "u00"; "41"; "\\n" |]
+
+let json_value rng =
+  let pick a = a.(Tdf_util.Prng.int_in rng 0 (Array.length a - 1)) in
+  let str () =
+    String.concat "" (List.init (Tdf_util.Prng.int_in rng 0 8) (fun _ -> pick string_pieces))
+  in
+  let rec value depth =
+    match Tdf_util.Prng.int_in rng 0 (if depth > 2 then 3 else 5) with
+    | 0 -> Json.Int (Tdf_util.Prng.int_in rng (-1000) 1000)
+    | 1 -> Json.Null
+    | 2 | 3 -> Json.String (str ())
+    | 4 -> Json.List (List.init (Tdf_util.Prng.int_in rng 0 3) (fun _ -> value (depth + 1)))
+    | _ ->
+      Json.Obj
+        (List.init (Tdf_util.Prng.int_in rng 0 3) (fun _ -> (str (), value (depth + 1))))
+  in
+  value 0
+
+let json_edit rng text =
+  let n = String.length text in
+  let at = Tdf_util.Prng.int_in rng 0 n in
+  match Tdf_util.Prng.int_in rng 0 3 with
+  | 0 -> String.sub text 0 at
+  | 1 ->
+    let bytes = [| "\""; "\\"; "u"; "1"; "}"; "]"; ","; "\n"; "x" |] in
+    String.sub text 0 at ^ bytes.(Tdf_util.Prng.int_in rng 0 (Array.length bytes - 1))
+    ^ String.sub text at (n - at)
+  | 2 when at < n -> String.sub text 0 at ^ String.sub text (at + 1) (n - at - 1)
+  | _ -> text
+
+let prop_json_reference =
+  Props.test "json: same bytes, values and errors as the reference" ~count:500
+    (Props.int_range 0 1_000_000) (fun seed ->
+      let rng = Tdf_util.Prng.create seed in
+      let v = json_value rng in
+      let text = Json.to_string v in
+      let edited = json_edit rng text in
+      let same a b =
+        Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
+      in
+      text = Ref_json.to_string v
+      && same (Json.of_string text) (Ref_json.of_string text)
+      && same (Json.of_string edited) (Ref_json.of_string edited))
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick
@@ -370,6 +421,7 @@ let suite =
     Alcotest.test_case "chrome trace golden" `Quick (isolated test_trace_golden);
     Alcotest.test_case "aggregate summary" `Quick (isolated test_aggregate_summary);
     Alcotest.test_case "json round trip" `Quick (isolated test_json_round_trip);
+    prop_json_reference;
     Alcotest.test_case "flow3d instrumented" `Quick
       (isolated test_flow3d_instrumented);
     Alcotest.test_case "mcmf instrumented" `Quick (isolated test_mcmf_instrumented);

@@ -112,8 +112,10 @@ let cursor_stream text =
   (toks, exts)
 
 let lines_stream text =
-  let acc = ref [] in
-  Lines.iter text (fun line words -> acc := (line, words) :: !acc);
+  let cur = Lines.cursor text and acc = ref [] in
+  while Lines.next cur do
+    acc := (Lines.line cur, List.init (Lines.words cur) (Lines.word cur)) :: !acc
+  done;
   List.rev !acc
 
 (* The reference streams rendered back to text on the same line numbers:
@@ -456,6 +458,209 @@ let fuzz_line_noise =
       done;
       never_raises kind (String.concat "\n" (Array.to_list lines)))
 
+(* ---- the line-format readers against their references ------------- *)
+
+(* The line-format texts of the corpus, plus a design whose cells carry
+   weights ([cellw] records), a second die row and a two-die contest file
+   with terminals, so every record kind is present. *)
+let line_texts =
+  lazy
+    (let weighted =
+       String.split_on_char '\n' (Text.design_to_string (Lazy.force design0))
+       |> List.mapi (fun i l ->
+              match String.split_on_char ' ' l with
+              | "cell" :: id :: name :: x :: y :: z :: ws when i mod 3 = 0 ->
+                String.concat " " ("cellw" :: id :: name :: x :: y :: z :: "1.5" :: ws)
+              | _ -> l)
+       |> String.concat "\n"
+     in
+     Array.append
+       (Lazy.force text_corpus)
+       [| (`Design, weighted) |])
+
+(* Every line reader on [text], against its reference, by value (float
+   bits included) or by error string. *)
+let text_readers_agree text =
+  let d = Lazy.force design0 in
+  identical (Text.read_design text) (Ref_text.Text.read_design text)
+  && identical (Text.read_placement d text) (Ref_text.Text.read_placement d text)
+  && identical (Delta.read text) (Ref_text.Delta.read text)
+  && identical (Contest.read text) (Ref_text.Contest.read text)
+
+let prop_reference_text_readers =
+  Props.test "text readers: same value or error as the reference readers"
+    ~count:400 seeds (fun seed ->
+      let rng = Prng.create seed in
+      let text =
+        if Prng.int_in rng 0 3 = 0 then input seed
+        else mutate rng (snd (pick rng (Lazy.force line_texts)))
+      in
+      text_readers_agree text)
+
+(* Tokens that fail each field kind in its own way: bad syntax (copied
+   into the message), out of range, non-positive widths and utilizations
+   (assertions), and forms only the stdlib takes. *)
+let bad_tokens =
+  [|
+    "x"; "-"; "1e"; "0x1g"; "99999999999999999999"; "nan"; "0"; "-1"; "-0"; "1.";
+    ".5"; "0x1f"; "1_000"; "+7"; "2.5"; "1e3"; "0.0000000000000001"; "inf"; "\r";
+  |]
+
+(* A corpus line with several of its words replaced by bad tokens, and
+   now and then records repeated or moved, so the order in which fields
+   and records are checked decides the message. *)
+let multi_fault rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  for _ = 1 to Prng.int_in rng 1 3 do
+    let i = Prng.int_in rng 0 (n - 1) in
+    let ws = Array.of_list (String.split_on_char ' ' lines.(i)) in
+    let k = Array.length ws in
+    if k > 1 then
+      for _ = 1 to Prng.int_in rng 2 4 do
+        ws.(Prng.int_in rng 1 (k - 1)) <- pick rng bad_tokens
+      done;
+    lines.(i) <- String.concat " " (Array.to_list ws)
+  done;
+  for _ = 1 to Prng.int_in rng 0 3 do
+    let i = Prng.int_in rng 0 (n - 1) and j = Prng.int_in rng 0 (n - 1) in
+    if Prng.int_in rng 0 1 = 0 then lines.(i) <- lines.(j)
+    else begin
+      let t = lines.(i) in
+      lines.(i) <- lines.(j);
+      lines.(j) <- t
+    end
+  done;
+  String.concat "\n" (Array.to_list lines)
+
+let prop_reference_multi_fault =
+  Props.test "text readers: multi-fault lines fail like the reference" ~count:400
+    seeds (fun seed ->
+      let rng = Prng.create seed in
+      text_readers_agree (multi_fault rng (snd (pick rng (Lazy.force line_texts)))))
+
+(* Records out of file order, repeated ids and a file that is valid only
+   once sorted, by name. *)
+let test_reference_text_cases () =
+  let dies = "die 1 0 0 50 40 10 1 1.0\ndie 0 0 0 50 40 10 1 0.9\n" in
+  let cases =
+    [
+      "";
+      "design\n";
+      "design a b\ndesign c\n" ^ dies;
+      dies ^ "cell 1 b 0 0 0.5 2 2\ncell 0 a 1 1 0.5 3 3\nnet 5 n 0 1\nnet 2 m 1\n";
+      dies ^ "cell 0 a 0 0 0.5 2 2\ncell 0 b 0 0 0.5 2 2\n";
+      dies ^ "cell 0 a 0 0 0.5 2\ncell 0 b 0 0 0.5 2 2\n";
+      dies ^ "macro 3 m 0 0 0 5 5\nmacro 3 k 1 0 0 5 5\nmacro 1 j 0 10 10 5 5\n";
+      dies ^ "macro 0 m 0 0 0 5 5\nmacro 1 k 0 2 2 5 5\n";
+      dies ^ "net 1 n 0\nnet 1 m 0\n";
+      "die 0 a b c d e f g\n";
+      "die 0 0 0 -1 -1 x y z\n";
+      "die x 0 0 5 5 0 0 2.0\n";
+      "cell x n a b c 0 -1\n";
+      "cell x n 1 2 0.5 0 -1\n";
+      "cellw 0 n 1 2 z w 0\n";
+      "cellw 0 n 1 2 0.5 -1 3\n";
+      "cellw 0 n 1 2 0.5 nan 3\n";
+      "macro 0 m 0 1 2 -3 -4\nmacro x m y 1 2 3 4\n";
+      "net x n a b\nnet 0 n\n";
+      dies ^ "cell 0 a 0 0 0.5 2 2\nplace 0 1 2 3\n";
+      "cell 0 a 0 0 0.5 2 2\n";
+      dies ^ "cell 0 a 0 0 1e400 2 2\ncell 1 b 0 0 -0 2 2\n";
+    ]
+  in
+  let d = Lazy.force design0 in
+  let placements =
+    [
+      "place 0 1 2 3\nplace 1 a b c\n";
+      "place x y z w\n";
+      "place 999 a b c\n";
+      "place 0 1 2\n";
+      "place -1 0 0 0\nplace 0 99999999999999999999 0 0\n";
+    ]
+  in
+  let deltas =
+    [
+      "move a b c d\n";
+      "resize x 0 -1 y\nresize 1 2\n";
+      "add n a b c 0 x\n";
+      "add n 1 2 3 0 4\n";
+      "remove x\nremove 1 2\n";
+      "macro m a b c d e f\n";
+      "move 1 2 3\nfrobnicate\n";
+    ]
+  in
+  let contests =
+    [
+      "LibCell a 1 2\n";
+      "Tech t 1\nLibCell a x y\n";
+      "DieSize a b c d\n";
+      "TopDieRows a b c d e\nBottomDieRows 0 0 1 2 x\n";
+      "FixedInst m lib Middle x y\n";
+      "FixedInst m lib Top 0 y\n";
+      "Place u x y z\n";
+      "Net n 2\nPin a/P0\nNet m x\n";
+      "Pin a/P0\n";
+      "TopDieMaxUtil x\nTerminalSize a b\n";
+      "NumNets 1 2\n";
+    ]
+  in
+  let check what ok = Alcotest.(check bool) what true ok in
+  List.iter
+    (fun t ->
+      check (Printf.sprintf "read_design %S" t)
+        (identical (Text.read_design t) (Ref_text.Text.read_design t)))
+    cases;
+  List.iter
+    (fun t ->
+      check (Printf.sprintf "read_placement %S" t)
+        (identical (Text.read_placement d t) (Ref_text.Text.read_placement d t)))
+    placements;
+  List.iter
+    (fun t -> check (Printf.sprintf "Delta.read %S" t) (identical (Delta.read t) (Ref_text.Delta.read t)))
+    deltas;
+  List.iter
+    (fun t ->
+      check (Printf.sprintf "Contest.read %S" t) (identical (Contest.read t) (Ref_text.Contest.read t)))
+    (contests
+    @ List.map
+        (fun (_, text) -> text)
+        (List.filter (fun (k, _) -> k = `Contest) (Array.to_list (Lazy.force line_texts))))
+
+(* Line-format number tokens: the cursor's in-place reads and the stdlib
+   on a copy must agree, errors included, on every token. *)
+let lines_number f text =
+  let cur = Lines.cursor text in
+  ignore (Lines.next cur);
+  match f cur 0 with v -> Ok v | exception Lines.Parse msg -> Error msg
+
+(* Besides the DEF number tokens: decimals of 14 to 19 digits with the
+   point anywhere, where the 15-digit limit of the in-place read decides
+   between a correct and a doubly rounded value. *)
+let line_number_token rng =
+  if Prng.int_in rng 0 1 = 0 then number_token rng
+  else begin
+    let n = Prng.int_in rng 14 19 in
+    let digits = String.init n (fun _ -> Char.chr (48 + Prng.int_in rng 0 9)) in
+    let k = Prng.int_in rng 1 n in
+    (if Prng.int_in rng 0 1 = 0 then "-" else "")
+    ^ String.sub digits 0 k
+    ^ if k < n then "." ^ String.sub digits k (n - k) else ""
+  end
+
+let prop_line_numbers =
+  Props.test "lines: numbers read in place as int_of_string/float_of_string"
+    ~count:2000 seeds (fun seed ->
+      let rng = Prng.create seed in
+      let w = line_number_token rng in
+      let want conv what =
+        match conv w with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "line 1: expected %s, got %S" what w)
+      in
+      identical (lines_number Lines.int w) (want int_of_string_opt "integer")
+      && identical (lines_number Lines.float w) (want float_of_string_opt "number"))
+
 let suite =
   [
     Alcotest.test_case "corner cases match the references" `Quick test_corner_cases;
@@ -467,6 +672,11 @@ let suite =
     prop_reference_readers;
     prop_reference_converter;
     prop_numbers;
+    prop_line_numbers;
+    prop_reference_text_readers;
+    prop_reference_multi_fault;
+    Alcotest.test_case "text readers: ordering and multi-fault cases match the reference"
+      `Quick test_reference_text_cases;
     fuzz_truncation;
     fuzz_comment_injection;
     fuzz_whitespace;

@@ -16,7 +16,7 @@
    requests its kill plan proves unapplied.
 
    Usage: chaos.exe [--seed N] [--kills K] [--ecos N] [--scale S]
-                    [--workdir DIR]                                   *)
+                    [--workdir DIR] [--daemon PATH]                   *)
 
 module Protocol = Tdf_io.Protocol
 module Delta = Tdf_io.Delta
@@ -27,17 +27,18 @@ let failf fmt = Printf.ksprintf (fun m -> prerr_endline ("CHAOS: " ^ m); exit 1)
 
 (* ---- process plumbing ------------------------------------------------ *)
 
-let legalize_exe () =
-  let near = Filename.dirname (Filename.dirname Sys.executable_name) in
-  let candidates =
-    [
-      Filename.concat near "bin/legalize.exe";
-      "_build/default/bin/legalize.exe";
-    ]
+(* The daemon: [--daemon PATH] when given, else the [bin/legalize.exe]
+   built beside this harness ([_build/default/tools/chaos/chaos.exe] ->
+   [_build/default/bin/legalize.exe]). *)
+let legalize_exe daemon =
+  let exe =
+    match daemon with
+    | Some exe -> exe
+    | None ->
+      let up = Filename.dirname in
+      Filename.concat (up (up (up Sys.executable_name))) "bin/legalize.exe"
   in
-  match List.find_opt Sys.file_exists candidates with
-  | Some exe -> exe
-  | None -> failwith "chaos: cannot locate bin/legalize.exe"
+  if Sys.file_exists exe then exe else failf "no daemon at %s (pass --daemon PATH)" exe
 
 let spawn_daemon exe ~sock ~log ?journal ?arm () =
   let logfd =
@@ -145,6 +146,7 @@ let () =
   let ecos = ref 30 in
   let scale = ref 0.02 in
   let workdir = ref "out/chaos" in
+  let daemon = ref None in
   Arg.parse
     [
       ("--seed", Arg.Set_int seed, "N  PRNG seed for trace and kill plan");
@@ -152,11 +154,14 @@ let () =
       ("--ecos", Arg.Set_int ecos, "N  ECO requests in the trace (default 30)");
       ("--scale", Arg.Set_float scale, "S  benchmark case scale (default 0.02)");
       ("--workdir", Arg.Set_string workdir, "DIR  scratch directory");
+      ( "--daemon",
+        Arg.String (fun p -> daemon := Some p),
+        "PATH  the legalize executable to serve (default: found from this one)" );
     ]
     (fun a -> failf "unexpected argument %S" a)
     "chaos.exe: seeded SIGKILL/recovery loop against the serve daemon";
   if !ecos < !kills + 1 then failf "--ecos must exceed --kills";
-  let exe = legalize_exe () in
+  let exe = legalize_exe !daemon in
   mkdir_p !workdir;
   let file name = Filename.concat !workdir name in
   let journal_dir = file "journal" in
