@@ -100,18 +100,6 @@ let run_paper ~scale =
     (Tdf_experiments.Ablations.render
        ~title:"Ablation: cycle-canceling post-optimization rounds (§III-E)"
        (Tdf_experiments.Ablations.sweep_post_opt design));
-  (* One bonding-terminal assignment exercises the MCMF substrate so its
-     counters (augmentations, Dijkstra pops, relaxations) appear in the
-     telemetry dump alongside the legalizer phases. *)
-  let d_bond =
-    Tdf_benchgen.Gen.generate_by_name ~scale:0.02 Tdf_benchgen.Spec.Iccad2023
-      "case2"
-  in
-  let legal_bond =
-    (Tdf_legalizer.Flow3d.legalize d_bond).Tdf_legalizer.Flow3d.placement
-  in
-  let tgrid = Tdf_bonding.Terminal.make_grid d_bond ~size:2 ~spacing:2 in
-  ignore (Tdf_bonding.Terminal.assign d_bond legal_bond tgrid);
   Tdf_telemetry.remove sink;
   let json =
     Json.Obj

@@ -49,7 +49,9 @@ let () =
     (Array.length cells) (Array.length macros);
   show "3D-Flow" (Flow3d.legalize design);
   show "3D-Flow w/o post-opt"
-    (Flow3d.legalize ~cfg:{ Config.default with Config.post_opt = false } design);
+    (Flow3d.legalize
+       ~cfg:{ Config.default with Config.post_opt_passes = 0 }
+       design);
   show "w/o D2D" (Flow3d.legalize ~cfg:Config.no_d2d design);
 
   (* Visualize both dies. *)

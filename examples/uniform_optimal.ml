@@ -43,13 +43,13 @@ let optimal_assignment_cost design =
   let cell_v c = 1 + c in
   let bin_v b = 1 + n_cells + b in
   let sink = 1 + n_cells + n_bins in
-  let g = Mcmf.create (sink + 1) in
+  let g = Mcmf.Builder.create (sink + 1) in
   for c = 0 to n_cells - 1 do
-    ignore (Mcmf.add_edge g ~src:0 ~dst:(cell_v c) ~cap:1 ~cost:0);
+    ignore (Mcmf.Builder.add_edge g ~src:0 ~dst:(cell_v c) ~cap:1 ~cost:0);
     Array.iter
       (fun (b : G.bin) ->
         ignore
-          (Mcmf.add_edge g ~src:(cell_v c) ~dst:(bin_v b.G.id) ~cap:1
+          (Mcmf.Builder.add_edge g ~src:(cell_v c) ~dst:(bin_v b.G.id) ~cap:1
              ~cost:(G.est_disp grid ~cell:c b)))
       grid.G.bins
   done;
@@ -57,11 +57,18 @@ let optimal_assignment_cost design =
     (fun (b : G.bin) ->
       let slots = G.cap b / cell_width in
       if slots > 0 then
-        ignore (Mcmf.add_edge g ~src:(bin_v b.G.id) ~dst:sink ~cap:slots ~cost:0))
+        ignore
+          (Mcmf.Builder.add_edge g ~src:(bin_v b.G.id) ~dst:sink ~cap:slots
+             ~cost:0))
     grid.G.bins;
-  let flow, cost = Mcmf.min_cost_flow g ~source:0 ~sink () in
-  assert (flow = n_cells);
-  cost
+  match
+    Mcmf.solve_csr (Mcmf.Csr.of_builder g) ~ws:(Mcmf.Workspace.create ())
+      ~source:0 ~sink ()
+  with
+  | Ok { Mcmf.flow; cost; _ } ->
+    assert (flow = n_cells);
+    cost
+  | Error e -> failwith (Mcmf.error_to_string e)
 
 let () =
   let design = build_design () in

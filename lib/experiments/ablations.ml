@@ -63,7 +63,7 @@ let sweep_post_opt ?(passes = [ 0; 1; 2; 3; 5 ]) design =
     (fun n ->
       measure
         ~label:(Printf.sprintf "post_opt=%d" n)
-        { Config.default with Config.post_opt = n > 0; Config.post_opt_passes = n }
+        { Config.default with Config.post_opt_passes = n }
         design)
     passes
 

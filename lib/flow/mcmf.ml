@@ -58,9 +58,9 @@ module Builder = struct
     end
 
   let add_edge b ~src ~dst ~cap ~cost =
-    if cap < 0 then invalid_arg "Mcmf.add_edge: negative capacity";
+    if cap < 0 then invalid_arg "Mcmf.Builder.add_edge: negative capacity";
     if src < 0 || src >= b.n || dst < 0 || dst >= b.n then
-      invalid_arg "Mcmf.add_edge: vertex out of range";
+      invalid_arg "Mcmf.Builder.add_edge: vertex out of range";
     grow b;
     let k = b.m in
     b.e_src.(k) <- src;
@@ -129,7 +129,8 @@ module Csr = struct
     { n; m; head; a_dst; a_cap; a_cost; a_rev; fwd_pos }
 
   let flow_on g handle =
-    if handle < 0 || handle >= g.m then invalid_arg "Mcmf.flow_on: bad handle";
+    if handle < 0 || handle >= g.m then
+      invalid_arg "Mcmf.Csr.flow_on: bad handle";
     (* flow = capacity currently on the reverse arc *)
     g.a_cap.(g.a_rev.(g.fwd_pos.(handle)))
 end
@@ -485,47 +486,3 @@ let solve_csr (g : Csr.t) ~(ws : Workspace.t) ~source ~sink
           ((Gc.minor_words () -. mw0) /. float_of_int !augmentations);
       Ok { flow = !total_flow; cost = !total_cost; complete = !complete }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Thin staged-graph shim (the historical Mcmf API)                    *)
-(* ------------------------------------------------------------------ *)
-
-type t = {
-  builder : Builder.t;
-  mutable frozen : Csr.t option;
-  mutable ws : Workspace.t option;
-}
-
-let create n = { builder = Builder.create n; frozen = None; ws = None }
-
-let add_edge t ~src ~dst ~cap ~cost =
-  (* Staging a new edge after a freeze discards the frozen residual state:
-     the next solve sees the full graph with pristine capacities. *)
-  (match t.frozen with Some _ -> t.frozen <- None | None -> ());
-  Builder.add_edge t.builder ~src ~dst ~cap ~cost
-
-let csr t =
-  match t.frozen with
-  | Some g -> g
-  | None ->
-    let g = Csr.of_builder t.builder in
-    t.frozen <- Some g;
-    g
-
-let workspace t =
-  match t.ws with
-  | Some ws -> ws
-  | None ->
-    let ws = Workspace.create () in
-    t.ws <- Some ws;
-    ws
-
-let solve t ~source ~sink ?max_flow ?budget () =
-  solve_csr (csr t) ~ws:(workspace t) ~source ~sink ?max_flow ?budget ()
-
-let min_cost_flow t ~source ~sink ?max_flow () =
-  match solve t ~source ~sink ?max_flow () with
-  | Ok { flow; cost; _ } -> (flow, cost)
-  | Error (Negative_cycle _) -> invalid_arg "Mcmf: negative cycle detected"
-
-let flow_on t handle = Csr.flow_on (csr t) handle

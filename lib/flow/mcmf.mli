@@ -8,8 +8,9 @@
     Bellman–Ford pass makes negative edge costs admissible.  This is the
     exact solver the paper's §III-A refers to:
     with uniform cell widths, legalization reduces exactly to this problem,
-    and the library is used by tests and by [examples/uniform_optimal.exe]
-    to cross-check 3D-Flow against provably optimal solutions.
+    and [examples/uniform_optimal.exe] uses it to cross-check 3D-Flow
+    against provably optimal solutions.  The ECO precheck
+    ([Tdf_incremental.Eco]) runs it on the dirty region's bin graph.
 
     {2 Solver core}
 
@@ -25,16 +26,12 @@
       the radix heap and the DFS cursors), allocated once and reused across
       {!solve_csr} calls.
 
-    The classic staged-graph API ({!create}/{!add_edge}/{!solve}) is kept
-    as a thin shim over these layers: it freezes the builder on first
-    solve and caches one workspace per graph.  Arc ordering in the frozen
-    graph matches staging order, so the CSR solver returns bit-identical
-    [(flow, cost)] to the historical adjacency-list implementation.
-
-    Max flow is unique and so is the min cost at max flow, but the per-arc
-    split among equal-cost optima follows this engine's arc order:
-    {!flow_on} readings (which bonding-terminal assignment consumes) are
-    pinned by the golden digests, not by optimality. *)
+    Arc ordering in the frozen graph matches staging order, so the solver
+    returns bit-identical [(flow, cost)] to the historical adjacency-list
+    implementation.  Max flow is unique and so is the min cost at max
+    flow, but the per-arc split among equal-cost optima follows this
+    engine's arc order: the tests certify that {!Csr.flow_on} readings
+    form an optimal flow, not which one. *)
 
 type arc = { a_src : int; a_dst : int; a_cap : int; a_cost : int }
 (** A residual arc, reported in {!error} diagnostics. *)
@@ -105,54 +102,18 @@ val solve_csr :
   ?budget:Tdf_util.Budget.t ->
   unit ->
   (solution, error) result
-(** Core solver: push up to [max_flow] units along successive shortest
-    paths on the frozen graph, reusing [ws] for all scratch.  Semantics
-    are those of {!solve}; reusing a workspace bumps the ["mcmf.ws_reuse"]
-    telemetry counter, and (when telemetry is enabled) minor-heap
-    allocation per augmentation is reported as
-    ["mcmf.minor_words_per_aug"].  Per-solve work is surfaced through the
-    ["mcmf.arc_scans"] (arcs examined by Dijkstra relaxation and the
-    blocking DFS) and ["mcmf.phases"] (shortest-path rounds) counters. *)
-
-(** {2 Staged-graph shim} *)
-
-type t
-(** A staged graph plus its lazily frozen {!Csr.t} and cached
-    {!Workspace.t}.  Residual state survives across calls exactly as the
-    historical implementation's did: solving twice continues on the
-    residual graph, while staging a new edge after a solve starts over
-    from pristine capacities. *)
-
-val create : int -> t
-(** [create n] makes an empty graph on vertices [0 .. n-1]. *)
-
-val add_edge : t -> src:int -> dst:int -> cap:int -> cost:int -> int
-(** Adds a directed edge and its residual reverse edge; returns the edge's
-    arc-id handle for {!flow_on} (see {!Builder.add_edge}).  Requires
-    [cap >= 0]. *)
-
-val solve :
-  t ->
-  source:int ->
-  sink:int ->
-  ?max_flow:int ->
-  ?budget:Tdf_util.Budget.t ->
-  unit ->
-  (solution, error) result
-(** [solve t ~source ~sink ()] pushes up to [max_flow] (default: as much
-    as possible) units along successive shortest paths.  Each augmentation
-    ticks [budget] once; when the budget exhausts, the partial flow
-    accumulated so far is returned with [complete = false] instead of
-    running to max flow.  Fault-injection sites: ["mcmf.solve"] (forces
+(** [solve_csr g ~ws ~source ~sink ()] pushes up to [max_flow] (default:
+    as much as possible) units along successive shortest paths on the
+    frozen graph, reusing [ws] for all scratch.  Each augmentation ticks
+    [budget] once; when the budget exhausts, the partial flow accumulated
+    so far is returned with [complete = false] instead of running to max
+    flow.  Fault-injection sites: ["mcmf.solve"] (forces
     [Error (Negative_cycle [])]) and ["mcmf.timeout"] (exhausts the
-    budget). *)
+    budget).
 
-val min_cost_flow :
-  t -> source:int -> sink:int -> ?max_flow:int -> unit -> int * int
-(** Raising convenience wrapper over {!solve} with no budget: returns
-    [(flow, cost)] and raises [Invalid_argument] on a negative cycle (the
-    paper's networks have none: negative edges only point back toward
-    initial positions). *)
-
-val flow_on : t -> int -> int
-(** Flow currently routed through an edge handle. *)
+    Reusing a workspace bumps the ["mcmf.ws_reuse"] telemetry counter,
+    and (when telemetry is enabled) minor-heap allocation per augmentation
+    is reported as ["mcmf.minor_words_per_aug"].  Per-solve work is
+    surfaced through the ["mcmf.arc_scans"] (arcs examined by Dijkstra
+    relaxation and the blocking DFS) and ["mcmf.phases"] (shortest-path
+    rounds) counters. *)

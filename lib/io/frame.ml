@@ -46,8 +46,6 @@ let feed d ?(off = 0) ?len s =
   let len = Option.value len ~default:(String.length s - off) in
   Buffer.add_substring d.buf s off len
 
-let buffered d = Buffer.length d.buf - d.pos
-
 let compact d =
   if d.pos > 4096 && d.pos * 2 > Buffer.length d.buf then begin
     let tail = Buffer.sub d.buf d.pos (Buffer.length d.buf - d.pos) in

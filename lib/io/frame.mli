@@ -52,5 +52,3 @@ val next : decoder -> (string option, error) result
     After an [Error _] the decoder is poisoned: every further [next]
     returns the same error. *)
 
-val buffered : decoder -> int
-(** Bytes currently held (fed but not yet returned as payloads). *)

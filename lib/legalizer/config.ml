@@ -5,7 +5,6 @@ type t = {
   allow_negative_cost : bool;
   exhaustive : bool;
   d2d_base_cost : float;
-  post_opt : bool;
   post_opt_passes : int;
   max_retries : int;
 }
@@ -18,7 +17,6 @@ let default =
     allow_negative_cost = true;
     exhaustive = false;
     d2d_base_cost = 2.0;
-    post_opt = true;
     post_opt_passes = 3;
     max_retries = 4;
   }
@@ -31,5 +29,5 @@ let bonn_emulation =
     d2d_edges = false;
     allow_negative_cost = false;
     exhaustive = true;
-    post_opt = false;
+    post_opt_passes = 0;
   }

@@ -27,16 +27,17 @@ type t = {
           planar position) and the congestion bonus of Eq. 7 makes the flow
           zig-zag between dies, inflating #Move far beyond the <1% of cells
           the paper reports in Table V. *)
-  post_opt : bool;  (** run the §III-E cycle-canceling post-optimization. *)
-  post_opt_passes : int;  (** number of post-optimization rounds. *)
+  post_opt_passes : int;
+      (** rounds of the §III-E cycle-canceling post-optimization; 0 turns
+          it off. *)
   max_retries : int;
       (** attempts to resolve one supply bin before declaring it stuck. *)
 }
 
 val default : t
 (** The paper's configuration: α = 0.1, w_v = 10·w̄_c, D2D on, negative
-    costs on, post-opt on.  Post-opt always runs at 5·w̄_c
-    ([Flow3d.run]). *)
+    costs on, up to three post-opt rounds.  Post-opt always runs at
+    5·w̄_c ([Flow3d.run]). *)
 
 val no_d2d : t
 (** [default] without die-to-die edges — the "w/o. D2D" column of

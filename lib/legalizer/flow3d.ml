@@ -288,55 +288,53 @@ let run ?(cfg = Config.default) ?(budget = Tdf_util.Budget.unlimited) ?start
       let residual = ref residual in
       let complete = ref complete in
       let rounds = ref 0 in
-      if cfg.Config.post_opt then begin
-        (* All post-opt passes share one bin width, so the first pass's
-           grid instance is reset and reused by the following ones. *)
-        let post_grid = ref None in
-        let continue = ref true and pass = ref 0 in
-        while
-          !continue
-          && !pass < cfg.Config.post_opt_passes
-          && not (Tdf_util.Budget.exhausted budget)
-        do
-          incr pass;
-          Tdf_telemetry.span "flow3d.post_opt" @@ fun () ->
-          match Post_opt.select_victims design !p with
-          | [] -> continue := false
-          | victims ->
-            let targets = Placement.copy !p in
-            List.iter
-              (fun c ->
-                let x, y = Post_opt.midpoint_target design !p c in
-                targets.Placement.x.(c) <- x;
-                targets.Placement.y.(c) <- y)
-              victims;
-            let p', aug', exp', failed', reliefs', residual', complete', grid' =
-              one_pass cfg ~budget design
-                ~bin_factor:post_opt_bin_factor ?reuse:!post_grid
-                !p ~targets ()
-            in
-            post_grid := Some grid';
-            aug := !aug + aug';
-            exp_ := !exp_ + exp';
-            reliefs := !reliefs + reliefs';
-            complete := !complete && complete';
-            let old_max = max_disp design !p in
-            let new_max = max_disp design p' in
-            let improved =
-              residual' <= eps
-              && (new_max < old_max -. 1e-9
-                 || (Float.abs (new_max -. old_max) <= 1e-9
-                    && avg_disp design p' <= avg_disp design !p))
-            in
-            if improved then begin
-              p := p';
-              failed := !failed + failed';
-              residual := residual';
-              incr rounds
-            end
-            else continue := false
-        done
-      end;
+      (* All post-opt passes share one bin width, so the first pass's grid
+         instance is reset and reused by the following ones. *)
+      let post_grid = ref None in
+      let continue = ref true and pass = ref 0 in
+      while
+        !continue
+        && !pass < cfg.Config.post_opt_passes
+        && not (Tdf_util.Budget.exhausted budget)
+      do
+        incr pass;
+        Tdf_telemetry.span "flow3d.post_opt" @@ fun () ->
+        match Post_opt.select_victims design !p with
+        | [] -> continue := false
+        | victims ->
+          let targets = Placement.copy !p in
+          List.iter
+            (fun c ->
+              let x, y = Post_opt.midpoint_target design !p c in
+              targets.Placement.x.(c) <- x;
+              targets.Placement.y.(c) <- y)
+            victims;
+          let p', aug', exp', failed', reliefs', residual', complete', grid' =
+            one_pass cfg ~budget design
+              ~bin_factor:post_opt_bin_factor ?reuse:!post_grid
+              !p ~targets ()
+          in
+          post_grid := Some grid';
+          aug := !aug + aug';
+          exp_ := !exp_ + exp';
+          reliefs := !reliefs + reliefs';
+          complete := !complete && complete';
+          let old_max = max_disp design !p in
+          let new_max = max_disp design p' in
+          let improved =
+            residual' <= eps
+            && (new_max < old_max -. 1e-9
+               || (Float.abs (new_max -. old_max) <= 1e-9
+                  && avg_disp design p' <= avg_disp design !p))
+          in
+          if improved then begin
+            p := p';
+            failed := !failed + failed';
+            residual := residual';
+            incr rounds
+          end
+          else continue := false
+      done;
       Tdf_telemetry.count "flow3d.post_opt_rounds" !rounds;
       if Tdf_telemetry.enabled () then
         Tdf_telemetry.count "flow3d.d2d_cells" (count_d2d design !p);

@@ -1,22 +1,6 @@
-type phase =
-  | Preflight
-  | Grid_build
-  | Flow
-  | Place_row
-  | Post_opt
-  | Mcmf
-  | Terminal
-  | Parse
+type phase = Preflight | Flow
 
-let phase_name = function
-  | Preflight -> "preflight"
-  | Grid_build -> "grid-build"
-  | Flow -> "flow"
-  | Place_row -> "place-row"
-  | Post_opt -> "post-opt"
-  | Mcmf -> "mcmf"
-  | Terminal -> "terminal"
-  | Parse -> "parse"
+let phase_name = function Preflight -> "preflight" | Flow -> "flow"
 
 type t = {
   phase : phase;

@@ -9,19 +9,13 @@
 
 type phase =
   | Preflight  (** design validation before any solver runs *)
-  | Grid_build  (** bin-grid construction / initial assignment *)
-  | Flow  (** the 3D-Flow supply-resolution phase *)
-  | Place_row  (** per-segment Abacus PlaceRow *)
-  | Post_opt  (** cycle-canceling post-optimization *)
-  | Mcmf  (** the generic min-cost-flow substrate *)
-  | Terminal  (** bonding-terminal assignment *)
-  | Parse  (** input file parsing *)
+  | Flow  (** the 3D-Flow legalizer ({!Tdf_legalizer.Flow3d.run}) *)
 
 val phase_name : phase -> string
 
 type t = {
   phase : phase;
-  code : string;  (** stable machine-readable slug, e.g. ["negative-cycle"] *)
+  code : string;  (** stable machine-readable slug, e.g. ["no-segment"] *)
   cell : int option;
   die : int option;
   net : int option;

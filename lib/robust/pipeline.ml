@@ -40,7 +40,7 @@ let relax (cfg : Config.t) =
     cfg with
     Config.bin_width_factor = cfg.Config.bin_width_factor *. 2.;
     max_retries = cfg.Config.max_retries * 2;
-    post_opt = false;
+    post_opt_passes = 0;
   }
 
 let preflight opts design =

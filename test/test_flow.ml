@@ -1,57 +1,69 @@
 module M = Tdf_flow.Mcmf
 
+(* Stages [edges] as (src, dst, cap, cost) on vertices [0 .. n-1] and
+   solves them on a fresh graph (and workspace, unless [ws] is given): the
+   solution and each edge's flow, in list order. *)
+let solve ?max_flow ?(ws = M.Workspace.create ()) edges n ~source ~sink =
+  let b = M.Builder.create n in
+  let handles =
+    List.map
+      (fun (src, dst, cap, cost) -> M.Builder.add_edge b ~src ~dst ~cap ~cost)
+      edges
+  in
+  let g = M.Csr.of_builder b in
+  M.solve_csr g ~ws ~source ~sink ?max_flow ()
+  |> Result.map (fun s -> (s, List.map (M.Csr.flow_on g) handles))
+
+(* [(flow, cost)] and the per-edge flows; a negative cycle fails the test. *)
+let solve_exn ?max_flow ?ws edges n ~source ~sink =
+  match solve ?max_flow ?ws edges n ~source ~sink with
+  | Ok (s, flows) -> ((s.M.flow, s.M.cost), flows)
+  | Error e -> Alcotest.fail (M.error_to_string e)
+
 let test_single_edge () =
-  let g = M.create 2 in
-  let e = M.add_edge g ~src:0 ~dst:1 ~cap:5 ~cost:3 in
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:1 () in
+  let (flow, cost), flows = solve_exn [ (0, 1, 5, 3) ] 2 ~source:0 ~sink:1 in
   Alcotest.(check int) "flow" 5 flow;
   Alcotest.(check int) "cost" 15 cost;
-  Alcotest.(check int) "edge flow" 5 (M.flow_on g e)
+  Alcotest.(check (list int)) "edge flow" [ 5 ] flows
 
 let test_two_paths_prefers_cheap () =
   (* 0->1->3 cost 2, 0->2->3 cost 10; caps 1 each; push 2 units *)
-  let g = M.create 4 in
-  ignore (M.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:1);
-  ignore (M.add_edge g ~src:1 ~dst:3 ~cap:1 ~cost:1);
-  ignore (M.add_edge g ~src:0 ~dst:2 ~cap:1 ~cost:5);
-  ignore (M.add_edge g ~src:2 ~dst:3 ~cap:1 ~cost:5);
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:3 () in
+  let (flow, cost), _ =
+    solve_exn
+      [ (0, 1, 1, 1); (1, 3, 1, 1); (0, 2, 1, 5); (2, 3, 1, 5) ]
+      4 ~source:0 ~sink:3
+  in
   Alcotest.(check int) "flow" 2 flow;
   Alcotest.(check int) "cost" 12 cost
 
 let test_max_flow_limit () =
-  let g = M.create 2 in
-  ignore (M.add_edge g ~src:0 ~dst:1 ~cap:10 ~cost:1);
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:1 ~max_flow:4 () in
+  let (flow, cost), _ =
+    solve_exn ~max_flow:4 [ (0, 1, 10, 1) ] 2 ~source:0 ~sink:1
+  in
   Alcotest.(check int) "limited flow" 4 flow;
   Alcotest.(check int) "cost" 4 cost
 
 let test_rerouting_via_residual () =
   (* Classic case where the second augmentation must push back on the
      first path's residual edge. *)
-  let g = M.create 4 in
-  ignore (M.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:1);
-  ignore (M.add_edge g ~src:0 ~dst:2 ~cap:1 ~cost:2);
-  ignore (M.add_edge g ~src:1 ~dst:2 ~cap:1 ~cost:(-2));
-  ignore (M.add_edge g ~src:1 ~dst:3 ~cap:1 ~cost:4);
-  ignore (M.add_edge g ~src:2 ~dst:3 ~cap:2 ~cost:1);
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:3 () in
+  let (flow, cost), _ =
+    solve_exn
+      [ (0, 1, 1, 1); (0, 2, 1, 2); (1, 2, 1, -2); (1, 3, 1, 4); (2, 3, 2, 1) ]
+      4 ~source:0 ~sink:3
+  in
   Alcotest.(check int) "max flow 2" 2 flow;
   (* best: 0-1-2-3 (1-2+1=0) and 0-2-3 (2+1=3) => 3 *)
   Alcotest.(check int) "optimal cost" 3 cost
 
 let test_negative_edge_costs () =
-  let g = M.create 3 in
-  ignore (M.add_edge g ~src:0 ~dst:1 ~cap:2 ~cost:(-5));
-  ignore (M.add_edge g ~src:1 ~dst:2 ~cap:2 ~cost:3);
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:2 () in
+  let (flow, cost), _ =
+    solve_exn [ (0, 1, 2, -5); (1, 2, 2, 3) ] 3 ~source:0 ~sink:2
+  in
   Alcotest.(check int) "flow" 2 flow;
   Alcotest.(check int) "cost" (-4) cost
 
 let test_disconnected () =
-  let g = M.create 3 in
-  ignore (M.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:1);
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:2 () in
+  let (flow, cost), _ = solve_exn [ (0, 1, 1, 1) ] 3 ~source:0 ~sink:2 in
   Alcotest.(check int) "no flow" 0 flow;
   Alcotest.(check int) "no cost" 0 cost
 
@@ -115,11 +127,7 @@ let prop_matches_brute_force =
     (fun edges ->
       let edges = List.filter (fun (s, d, _, _) -> s <> d) edges in
       let n = 4 in
-      let g = M.create n in
-      List.iter
-        (fun (src, dst, cap, cost) -> ignore (M.add_edge g ~src ~dst ~cap ~cost))
-        edges;
-      let flow, cost = M.min_cost_flow g ~source:0 ~sink:(n - 1) () in
+      let (flow, cost), _ = solve_exn edges n ~source:0 ~sink:(n - 1) in
       let bf_flow, bf_cost = brute_force_min_cost n edges ~source:0 ~sink:(n - 1) in
       flow = bf_flow && cost = bf_cost)
 
@@ -130,34 +138,33 @@ let prop_matches_brute_force =
 let test_arc_id_handles () =
   (* Handles are explicit arc ids in staging order — no (vertex, index)
      bit-packing that aliased for vertex counts >= 2^30. *)
-  let g = M.create 2 in
-  let h0 = M.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:1 in
-  let h1 = M.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:5 in
+  let b = M.Builder.create 2 in
+  let h0 = M.Builder.add_edge b ~src:0 ~dst:1 ~cap:1 ~cost:1 in
+  let h1 = M.Builder.add_edge b ~src:0 ~dst:1 ~cap:1 ~cost:5 in
   Alcotest.(check int) "first arc id" 0 h0;
   Alcotest.(check int) "second arc id" 1 h1;
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:1 () in
-  Alcotest.(check int) "parallel flow" 2 flow;
-  Alcotest.(check int) "parallel cost" 6 cost;
-  Alcotest.(check int) "cheap parallel arc saturated" 1 (M.flow_on g h0);
-  Alcotest.(check int) "dear parallel arc saturated" 1 (M.flow_on g h1)
+  let g = M.Csr.of_builder b in
+  match M.solve_csr g ~ws:(M.Workspace.create ()) ~source:0 ~sink:1 () with
+  | Error e -> Alcotest.fail (M.error_to_string e)
+  | Ok s ->
+    Alcotest.(check int) "parallel flow" 2 s.M.flow;
+    Alcotest.(check int) "parallel cost" 6 s.M.cost;
+    Alcotest.(check int) "cheap parallel arc saturated" 1 (M.Csr.flow_on g h0);
+    Alcotest.(check int) "dear parallel arc saturated" 1 (M.Csr.flow_on g h1)
 
 let test_self_loop () =
-  let g = M.create 2 in
-  let h_loop = M.add_edge g ~src:0 ~dst:0 ~cap:5 ~cost:1 in
-  let h_fwd = M.add_edge g ~src:0 ~dst:1 ~cap:3 ~cost:2 in
-  let flow, cost = M.min_cost_flow g ~source:0 ~sink:1 () in
+  let (flow, cost), flows =
+    solve_exn [ (0, 0, 5, 1); (0, 1, 3, 2) ] 2 ~source:0 ~sink:1
+  in
   Alcotest.(check int) "flow ignores self-loop" 3 flow;
   Alcotest.(check int) "cost ignores self-loop" 6 cost;
-  Alcotest.(check int) "no flow on self-loop" 0 (M.flow_on g h_loop);
-  Alcotest.(check int) "forward arc saturated" 3 (M.flow_on g h_fwd)
+  Alcotest.(check (list int))
+    "no flow on self-loop, forward arc saturated" [ 0; 3 ] flows
 
 let test_negative_self_loop_is_cycle () =
   (* A negative-cost self-loop is the smallest negative cycle; the
      reverse-arc index adjustment for self-loops must not corrupt it. *)
-  let g = M.create 2 in
-  ignore (M.add_edge g ~src:0 ~dst:0 ~cap:1 ~cost:(-3));
-  ignore (M.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:1);
-  match M.solve g ~source:0 ~sink:1 () with
+  match solve [ (0, 0, 1, -3); (0, 1, 1, 1) ] 2 ~source:0 ~sink:1 with
   | Ok _ -> Alcotest.fail "negative self-loop must be detected"
   | Error (M.Negative_cycle arcs) ->
     Alcotest.(check bool) "offending arc reported" true
@@ -256,19 +263,10 @@ let ref_min_cost_flow edges n ~source ~sink =
 
 (* Solve on a fresh CSR graph and certify the per-arc flows. *)
 let solve_certified edges n ~source ~sink =
-  let b = M.Builder.create n in
-  let handles =
-    List.map
-      (fun (src, dst, cap, cost) -> M.Builder.add_edge b ~src ~dst ~cap ~cost)
-      edges
-  in
-  let g = M.Csr.of_builder b in
-  let ws = M.Workspace.create () in
-  match M.solve_csr g ~ws ~source ~sink () with
+  match solve edges n ~source ~sink with
   | Error e -> Error (M.error_to_string e)
-  | Ok { M.flow; cost; _ } ->
-    certify edges (List.map (M.Csr.flow_on g) handles) n ~source ~sink ~flow
-      ~cost
+  | Ok ({ M.flow; cost; _ }, flows) ->
+    certify edges flows n ~source ~sink ~flow ~cost
     |> Result.map (fun () -> (flow, cost))
 
 (* The solver must reproduce the seed SSP's (flow, cost) exactly — max flow
@@ -334,10 +332,10 @@ let rand_graph_arb =
 
 let prop_differential_random =
   Props.test "differential vs seed SSP (400 random, certified)" ~count:400
-    rand_graph_arb (fun g ->
-      let source = 0 and sink = g.rg_n - 1 in
-      solve_certified g.rg_edges g.rg_n ~source ~sink
-      = Ok (ref_min_cost_flow g.rg_edges g.rg_n ~source ~sink))
+    rand_graph_arb (fun { rg_n = n; rg_edges = edges } ->
+      let source = 0 and sink = n - 1 in
+      solve_certified edges n ~source ~sink
+      = Ok (ref_min_cost_flow edges n ~source ~sink))
 
 (* Transportation network shaped like the paper's legalization bin graphs:
    source -> supply bins -> demand bins (windowed adjacency) -> sink. *)
@@ -525,18 +523,6 @@ let test_differential_disconnected_supply () =
 (* Workspace reuse                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let solve_fresh edges n ~source ~sink =
-  let b = M.Builder.create n in
-  List.iter
-    (fun (src, dst, cap, cost) ->
-      ignore (M.Builder.add_edge b ~src ~dst ~cap ~cost))
-    edges;
-  let g = M.Csr.of_builder b in
-  let ws = M.Workspace.create () in
-  match M.solve_csr g ~ws ~source ~sink () with
-  | Ok s -> (s.M.flow, s.M.cost)
-  | Error _ -> Alcotest.fail "unexpected negative cycle"
-
 let test_workspace_reuse_determinism () =
   (* Two consecutive solves on one shared workspace must equal two fresh
      solves with private workspaces. *)
@@ -544,14 +530,10 @@ let test_workspace_reuse_determinism () =
   let e2, n2, s2, t2 = transportation_edges ~supplies:30 ~demands:24 ~window:4 ~seed:9 in
   let shared = M.Workspace.create () in
   let solve_with_shared edges n ~source ~sink =
-    let b = M.Builder.create n in
-    List.iter
-      (fun (src, dst, cap, cost) ->
-        ignore (M.Builder.add_edge b ~src ~dst ~cap ~cost))
-      edges;
-    match M.solve_csr (M.Csr.of_builder b) ~ws:shared ~source ~sink () with
-    | Ok s -> (s.M.flow, s.M.cost)
-    | Error _ -> Alcotest.fail "unexpected negative cycle"
+    fst (solve_exn ~ws:shared edges n ~source ~sink)
+  in
+  let solve_fresh edges n ~source ~sink =
+    fst (solve_exn edges n ~source ~sink)
   in
   let r1 = solve_with_shared e1 n1 ~source:s1 ~sink:t1 in
   let r2 = solve_with_shared e2 n2 ~source:s2 ~sink:t2 in
@@ -575,7 +557,7 @@ let test_pinned_transportation_optimum () =
       Alcotest.(check int) (what ^ " edges") m (List.length edges);
       Alcotest.(check (pair int int))
         (what ^ " (flow, cost)") (flow, cost)
-        (solve_fresh edges n ~source ~sink))
+        (fst (solve_exn edges n ~source ~sink)))
     [
       ((24, 24, 4, 42), 244, 89, 140);
       ((400, 400, 8, 42), 7_528, 1_714, 2_698);

@@ -14,7 +14,7 @@ let test_config_presets () =
   Alcotest.(check bool) "bonn 2D" false b.L.Config.d2d_edges;
   Alcotest.(check bool) "bonn exhaustive" true b.L.Config.exhaustive;
   Alcotest.(check bool) "bonn nonneg" false b.L.Config.allow_negative_cost;
-  Alcotest.(check bool) "bonn no postopt" false b.L.Config.post_opt
+  Alcotest.(check int) "bonn no postopt" 0 b.L.Config.post_opt_passes
 
 let overflow_grid () =
   let d = Fixtures.clustered () in

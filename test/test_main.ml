@@ -17,7 +17,6 @@ let () =
       ("io", Test_io.suite);
       ("def_lef", Test_def_lef.suite);
       ("tokenize", Test_tokenize.suite);
-      ("bonding", Test_bonding.suite);
       ("contest", Test_contest.suite);
       ("experiments", Test_experiments.suite);
       ("adversarial", Test_adversarial.suite);

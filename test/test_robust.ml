@@ -9,6 +9,7 @@ module Pipeline = Tdf_robust.Pipeline
 module Error = Tdf_robust.Error
 module Legality = Tdf_metrics.Legality
 module Budget = Tdf_util.Budget
+module Mcmf = Tdf_flow.Mcmf
 
 let with_fixture f =
   Fault.reset ();
@@ -194,15 +195,23 @@ let test_budget_unlimited_primary () =
 
 (* ---- mcmf: typed negative-cycle error ------------------------------ *)
 
+(* A frozen graph of [(src, dst, cap, cost)] edges on [n] vertices. *)
+let mcmf_graph n edges =
+  let b = Mcmf.Builder.create n in
+  List.iter
+    (fun (src, dst, cap, cost) ->
+      ignore (Mcmf.Builder.add_edge b ~src ~dst ~cap ~cost))
+    edges;
+  Mcmf.Csr.of_builder b
+
 let test_mcmf_negative_cycle_typed () =
-  let module Mcmf = Tdf_flow.Mcmf in
   (* 0 -> 1 -> 2 -> 1 with a negative cycle between 1 and 2 *)
-  let g = Mcmf.create 4 in
-  ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:0);
-  ignore (Mcmf.add_edge g ~src:1 ~dst:2 ~cap:5 ~cost:(-4));
-  ignore (Mcmf.add_edge g ~src:2 ~dst:1 ~cap:5 ~cost:1);
-  ignore (Mcmf.add_edge g ~src:2 ~dst:3 ~cap:1 ~cost:0);
-  match Mcmf.solve g ~source:0 ~sink:3 () with
+  let g =
+    mcmf_graph 4 [ (0, 1, 1, 0); (1, 2, 5, -4); (2, 1, 5, 1); (2, 3, 1, 0) ]
+  in
+  match
+    Mcmf.solve_csr g ~ws:(Mcmf.Workspace.create ()) ~source:0 ~sink:3 ()
+  with
   | Ok _ -> Alcotest.fail "negative cycle not detected"
   | Error (Mcmf.Negative_cycle arcs) ->
     Alcotest.(check bool) "offending arcs reported" true (arcs <> []);
@@ -211,16 +220,14 @@ let test_mcmf_negative_cycle_typed () =
 
 let test_mcmf_injected_failure () =
   with_fixture @@ fun () ->
-  let module Mcmf = Tdf_flow.Mcmf in
-  let g = Mcmf.create 2 in
-  ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:1 ~cost:1);
+  let g = mcmf_graph 2 [ (0, 1, 1, 1) ] and ws = Mcmf.Workspace.create () in
   Fault.force_failure "mcmf.solve";
-  (match Mcmf.solve g ~source:0 ~sink:1 () with
+  (match Mcmf.solve_csr g ~ws ~source:0 ~sink:1 () with
   | Ok _ -> Alcotest.fail "injected mcmf failure did not fire"
   | Error (Mcmf.Negative_cycle arcs) ->
     Alcotest.(check int) "no arcs on injected failure" 0 (List.length arcs));
   (* disarmed now: the same solve succeeds *)
-  match Mcmf.solve g ~source:0 ~sink:1 () with
+  match Mcmf.solve_csr g ~ws ~source:0 ~sink:1 () with
   | Ok s ->
     Alcotest.(check int) "flow" 1 s.Mcmf.flow;
     Alcotest.(check bool) "complete" true s.Mcmf.complete
@@ -228,11 +235,12 @@ let test_mcmf_injected_failure () =
 
 let test_mcmf_budget_partial () =
   with_fixture @@ fun () ->
-  let module Mcmf = Tdf_flow.Mcmf in
-  let g = Mcmf.create 2 in
-  ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:3 ~cost:1);
+  let g = mcmf_graph 2 [ (0, 1, 3, 1) ] in
   Fault.force_timeout "mcmf";
-  match Mcmf.solve g ~source:0 ~sink:1 ~budget:(Budget.create ()) () with
+  match
+    Mcmf.solve_csr g ~ws:(Mcmf.Workspace.create ()) ~source:0 ~sink:1
+      ~budget:(Budget.create ()) ()
+  with
   | Error _ -> Alcotest.fail "timeout must not be an error"
   | Ok s ->
     Alcotest.(check bool) "incomplete" false s.Mcmf.complete;

@@ -266,13 +266,18 @@ let test_flow3d_instrumented () =
 let test_mcmf_instrumented () =
   let agg = Aggregate.create () in
   T.with_sink (Aggregate.sink agg) (fun () ->
-      let g = Tdf_flow.Mcmf.create 4 in
-      ignore (Tdf_flow.Mcmf.add_edge g ~src:0 ~dst:1 ~cap:2 ~cost:1);
-      ignore (Tdf_flow.Mcmf.add_edge g ~src:1 ~dst:3 ~cap:2 ~cost:1);
-      ignore (Tdf_flow.Mcmf.add_edge g ~src:0 ~dst:2 ~cap:1 ~cost:3);
-      ignore (Tdf_flow.Mcmf.add_edge g ~src:2 ~dst:3 ~cap:1 ~cost:3);
-      let flow, _cost = Tdf_flow.Mcmf.min_cost_flow g ~source:0 ~sink:3 () in
-      Alcotest.(check int) "flow" 3 flow);
+      let module M = Tdf_flow.Mcmf in
+      let b = M.Builder.create 4 in
+      List.iter
+        (fun (src, dst, cap, cost) ->
+          ignore (M.Builder.add_edge b ~src ~dst ~cap ~cost))
+        [ (0, 1, 2, 1); (1, 3, 2, 1); (0, 2, 1, 3); (2, 3, 1, 3) ];
+      match
+        M.solve_csr (M.Csr.of_builder b) ~ws:(M.Workspace.create ()) ~source:0
+          ~sink:3 ()
+      with
+      | Ok s -> Alcotest.(check int) "flow" 3 s.M.flow
+      | Error e -> Alcotest.fail (M.error_to_string e));
   Alcotest.(check int) "solver span" 1
     (Aggregate.span_count agg "mcmf.min_cost_flow");
   Alcotest.(check bool) "augmentations counted" true
