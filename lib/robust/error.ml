@@ -7,18 +7,16 @@ type t = {
   code : string;
   cell : int option;
   die : int option;
-  net : int option;
   detail : string;
 }
 
-let make ?cell ?die ?net phase ~code detail =
-  { phase; code; cell; die; net; detail }
+let make ?cell ?die phase ~code detail = { phase; code; cell; die; detail }
 
 let to_string e =
   let ctx =
     List.filter_map
       (fun (label, v) -> Option.map (Printf.sprintf "%s %d" label) v)
-      [ ("cell", e.cell); ("die", e.die); ("net", e.net) ]
+      [ ("cell", e.cell); ("die", e.die) ]
   in
   Printf.sprintf "%s/%s: %s%s" (phase_name e.phase) e.code e.detail
     (match ctx with [] -> "" | l -> " (" ^ String.concat ", " l ^ ")")

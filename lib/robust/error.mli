@@ -2,8 +2,8 @@
 
     Every fatal condition that used to escape as a bare
     [assert]/[invalid_arg]/[failwith] deep inside the stack is reported as
-    a value of this one type: which phase failed, which entity (cell, die,
-    bin, net) was involved, and a human-readable detail string.  The
+    a value of this one type: which phase failed, which entity (cell,
+    die) was involved, and a human-readable detail string.  The
     pipeline logs these, the CLI prints them as one-line diagnostics, and
     the fallback chain dispatches on them — nothing crashes mid-flow. *)
 
@@ -18,12 +18,10 @@ type t = {
   code : string;  (** stable machine-readable slug, e.g. ["no-segment"] *)
   cell : int option;
   die : int option;
-  net : int option;
   detail : string;
 }
 
-val make :
-  ?cell:int -> ?die:int -> ?net:int -> phase -> code:string -> string -> t
+val make : ?cell:int -> ?die:int -> phase -> code:string -> string -> t
 
 val to_string : t -> string
 (** One line: ["<phase>/<code>: <detail> (cell 12, die 0)"]. *)
