@@ -350,12 +350,7 @@ let render ?terminal (d : Design.t) =
 
 let to_string ?terminal d = Buffer.contents (render ?terminal d)
 
-let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  read s
+let load path = read (In_channel.with_open_text path In_channel.input_all)
 
 let save ?terminal path d =
   let b = render ?terminal d in

@@ -75,14 +75,7 @@ let to_string ops =
     ops;
   Buffer.contents buf
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load path = read (read_file path)
+let load path = read (In_channel.with_open_text path In_channel.input_all)
 
 let save path ops =
   let oc = open_out path in

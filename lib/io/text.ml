@@ -229,12 +229,7 @@ let read_placement design text =
 
 let write_file path b = Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let save_design path d = write_file path (render_design d)
 
