@@ -93,12 +93,10 @@ let rec skip_block cur what keyword =
   let t = next cur what in
   if equal cur t "END" then expect cur keyword else skip_block cur what keyword
 
-let parse cur exts =
-  let sites = ref [] and macros = ref [] in
+(* The [tdflow.widths] comments of the whole input, by macro name. *)
+let widths text =
   let widths_of = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let line = ext_line e and c = ext_cursor cur e in
+  extensions (cursor text) (fun line c ->
       let kw = next c "extension" in
       if equal c kw "tdflow.widths" then begin
         let rec rest acc = if at_end c then List.rev acc else rest (next c "" :: acc) in
@@ -108,8 +106,11 @@ let parse cur exts =
             (Array.of_list (List.map (int c) ws))
         | _ -> fail "line %d: tdflow.widths needs a macro name and widths" line
       end
-      else fail "line %d: unknown extension comment %S" line (word c kw))
-    exts;
+      else fail "line %d: unknown extension comment %S" line (word c kw));
+  widths_of
+
+let parse cur widths_of =
+  let sites = ref [] and macros = ref [] in
   let rec loop () =
     let t = next cur "library" in
     if equal cur t "END" then begin
@@ -183,8 +184,8 @@ let parse cur exts =
    is reported ahead of a body error wherever the two sit in the file. *)
 let read text =
   try
-    let exts = extensions (cursor text) in
-    Ok (parse (cursor text) exts)
+    let widths_of = widths text in
+    Ok (parse (cursor text) widths_of)
   with Parse msg -> Error msg
 
 let render (t : t) =
@@ -230,14 +231,7 @@ let render (t : t) =
 
 let to_string t = Buffer.contents (render t)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load path = read (read_file path)
+let load path = read (In_channel.with_open_text path In_channel.input_all)
 
 let save path t =
   let b = render t in

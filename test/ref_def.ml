@@ -2,8 +2,12 @@
    of the token cursor, the two readers and the converter as they were
    before the cursor matched tokens in place and [Def.to_design] built
    arrays, kept only under test/ so the current ones can be checked for
-   the same [Ok] value or the same [Error] string.  The result types are
-   the library's own.  Two changes from the verbatim copies, both made in
+   the same [Ok] value or the same [Error] string.  The LEF result and the
+   design and placement are the library's own types; the DEF value keeps
+   its list-of-records shape here, and [Def.of_flat] renders the
+   library's flat, index-keyed value in it, so a reader is compared
+   through [of_flat] and the converter is fed [of_flat] of what the
+   library read.  Two changes from the verbatim copies, both made in
    the current reader too: [int_of] and [float_of] reject what is not a
    DEF decimal ({!Lex.def_int}, {!Lex.def_number}) before the stdlib
    conversion (the stdlib alone took [0x10], [1_000], [+8] and [nan]);
@@ -431,7 +435,7 @@ module Def = struct
 
   type status = Tdf_def_lef.Def.status = Placed | Fixed | Unplaced
 
-  type component = Tdf_def_lef.Def.component = {
+  type component = {
     c_name : string;
     c_macro : string;
     c_status : status;
@@ -451,9 +455,9 @@ module Def = struct
     p_orient : string;
   }
 
-  type pin_ref = Tdf_def_lef.Def.pin_ref = Comp of string * string | External of string
+  type pin_ref = Comp of string * string | External of string
 
-  type net = Tdf_def_lef.Def.net = { n_name : string; n_pins : pin_ref list }
+  type net = { n_name : string; n_pins : pin_ref list }
 
   type row = Tdf_def_lef.Def.row = {
     r_name : string;
@@ -465,7 +469,7 @@ module Def = struct
     r_step : int;
   }
 
-  type t = Tdf_def_lef.Def.t = {
+  type t = {
     design : string;
     units : int;
     diearea : Rect.t;
@@ -829,6 +833,49 @@ module Def = struct
     }
 
   let read text = try Ok (parse (cursor text)) with Parse msg -> Error msg
+
+  (* The library's flat value in this module's shape, for comparing the
+     two readers and for feeding this converter what the library read. *)
+  let of_flat (d : Tdf_def_lef.Def.t) =
+    let module F = Tdf_def_lef.Def in
+    let name k = d.F.names.(k) in
+    {
+      design = d.F.design;
+      units = d.F.units;
+      diearea = d.F.diearea;
+      rows = d.F.rows;
+      components =
+        List.init (Array.length d.F.comp_name) (fun j ->
+            {
+              c_name = name d.F.comp_name.(j);
+              c_macro = name d.F.comp_macro.(j);
+              c_status = d.F.comp_status.(j);
+              c_x = d.F.comp_x.(j);
+              c_y = d.F.comp_y.(j);
+              c_orient = (if d.F.comp_orient.(j) < 0 then "N" else name d.F.comp_orient.(j));
+            });
+      pins = d.F.pins;
+      nets =
+        List.init (Array.length d.F.net_name) (fun k ->
+            {
+              n_name = name d.F.net_name.(k);
+              n_pins =
+                List.init
+                  (d.F.net_start.(k + 1) - d.F.net_start.(k))
+                  (fun q ->
+                    let e = d.F.net_start.(k) + q in
+                    if d.F.net_comp.(e) < 0 then External (name d.F.net_pin.(e))
+                    else Comp (name d.F.net_comp.(e), name d.F.net_pin.(e)));
+            });
+      blockages = d.F.blockages;
+      die = d.F.die;
+      n_dies = d.F.n_dies;
+      max_util = d.F.max_util;
+      gp =
+        List.init (Array.length d.F.gp_comp) (fun g ->
+            ( name d.F.gp_comp.(g),
+              (d.F.gp_x.(g), d.F.gp_y.(g), d.F.gp_z.(g), d.F.gp_w.(g)) ));
+    }
 
   let to_design ~lef defs =
     try

@@ -17,12 +17,7 @@ module Prng = Tdf_util.Prng
    deps of the test stanza. *)
 let example dir = Printf.sprintf "../examples/open_design/%s" dir
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
 (* Equal down to the bits of every float and blind to sharing. *)
 let identical a b =
@@ -32,7 +27,7 @@ let identical a b =
    (test/ref_def.ml): the same [Ok] value or the same [Error] string. *)
 let to_design ~lef defs =
   let got = Def.to_design ~lef defs in
-  if not (identical got (Ref_def.Def.to_design ~lef defs)) then
+  if not (identical got (Ref_def.Def.to_design ~lef (List.map Ref_def.Def.of_flat defs))) then
     Alcotest.failf "to_design differs from the reference (got %s)"
       (match got with Ok _ -> "Ok" | Error e -> "Error " ^ e);
   got
@@ -110,20 +105,29 @@ let test_def_example_fields () =
   Alcotest.(check (option int)) "die tag" (Some 0) d.Def.die;
   Alcotest.(check (option int)) "n_dies tag" (Some 2) d.Def.n_dies;
   Alcotest.(check int) "rows" 5 (List.length d.Def.rows);
-  Alcotest.(check int) "components" 6 (List.length d.Def.components);
+  Alcotest.(check int) "components" 6 (Array.length d.Def.comp_name);
   Alcotest.(check int) "pins" 2 (List.length d.Def.pins);
-  Alcotest.(check int) "nets" 3 (List.length d.Def.nets);
+  Alcotest.(check int) "nets" 3 (Array.length d.Def.net_name);
   Alcotest.(check int) "blockages" 1 (List.length d.Def.blockages);
   (match d.Def.max_util with
   | Some u -> Alcotest.(check (float 1e-9)) "max_util" 0.9 u
   | None -> Alcotest.fail "max_util tag missing");
-  (match List.assoc_opt "u2" d.Def.gp with
-  | Some (x, _, _, w) ->
-    Alcotest.(check int) "gp x" 11 x;
-    Alcotest.(check (float 1e-9)) "gp weight" 2.0 w
+  let index_of name a =
+    let rec go i =
+      if i = Array.length a then None
+      else if d.Def.names.(a.(i)) = name then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  (match index_of "u2" d.Def.gp_comp with
+  | Some g ->
+    Alcotest.(check int) "gp x" 11 d.Def.gp_x.(g);
+    Alcotest.(check (float 1e-9)) "gp weight" 2.0 d.Def.gp_w.(g)
   | None -> Alcotest.fail "gp u2 missing");
-  let ram = List.find (fun c -> c.Def.c_name = "ram0") d.Def.components in
-  Alcotest.(check bool) "ram fixed" true (ram.Def.c_status = Def.Fixed)
+  match index_of "ram0" d.Def.comp_name with
+  | Some j -> Alcotest.(check bool) "ram fixed" true (d.Def.comp_status.(j) = Def.Fixed)
+  | None -> Alcotest.fail "ram0 missing"
 
 let test_def_errors_typed () =
   let cases =
@@ -436,8 +440,9 @@ let test_open_design_pipeline () =
 
 (* ---- fuzz ---------------------------------------------------------- *)
 
-(* Corpus: the two example DEFs, the example LEF, and a canonical export
-   of a random fixture — parsed by the matching reader. *)
+(* Corpus: the two example DEFs, the example LEF, a canonical export of a
+   random fixture, and the DEFs of a few cross-file and name-table cases
+   ([Def_cases]) — parsed by the matching reader. *)
 let corpus =
   lazy
     (let d = Fixtures.random 7 in
@@ -448,7 +453,11 @@ let corpus =
        (`Def, read_file (example "small.d1.def"));
        (`Lef, Lef.to_string lef);
        (`Def, Def.to_string (List.hd defs));
-     ])
+     ]
+     @ List.concat_map
+         (fun seed ->
+           List.map (fun t -> (`Def, t)) (List.tl (Def_cases.import_set (Prng.create seed))))
+         [ 1; 2; 3; 4 ])
 
 let parse_never_raises (kind, text) =
   match kind with

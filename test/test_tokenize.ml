@@ -104,12 +104,9 @@ let drain cur =
 let cursor_stream text =
   let cur = Lex.cursor text in
   let toks = drain cur in
-  let exts =
-    List.map
-      (fun e -> (Lex.ext_line e, List.map snd (drain (Lex.ext_cursor cur e))))
-      (Lex.extensions cur)
-  in
-  (toks, exts)
+  let exts = ref [] in
+  Lex.extensions cur (fun line c -> exts := (line, List.map snd (drain c)) :: !exts);
+  (toks, List.rev !exts)
 
 let lines_stream text =
   let cur = Lines.cursor text and acc = ref [] in
@@ -179,12 +176,16 @@ let prop_readers =
 let identical a b =
   Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
 
+(* [Def.read] against the reference reader, through the reference's view
+   of the flat value. *)
+let same_def text =
+  identical (Result.map Ref_def.Def.of_flat (Def.read text)) (Ref_def.Def.read text)
+
 let prop_reference_readers =
   Props.test "readers: same value or error as the reference readers" ~count:400
     seeds (fun seed ->
       let text = input seed in
-      identical (Def.read text) (Ref_def.Def.read text)
-      && identical (Lef.read text) (Ref_def.Lef.read text))
+      same_def text && identical (Lef.read text) (Ref_def.Lef.read text))
 
 (* Inputs with several faults, where the order of the checks decides the
    message: every one against the reference readers. *)
@@ -215,7 +216,7 @@ let test_reference_error_order () =
   List.iter
     (fun text ->
       Alcotest.(check bool) (Printf.sprintf "Def.read %S" text) true
-        (identical (Def.read text) (Ref_def.Def.read text)))
+        (same_def text))
     defs;
   let lefs =
     [
@@ -263,10 +264,29 @@ let imports =
        List.map example [ "small.lef"; "small.d0.def"; "small.d1.def" ];
      |])
 
+(* A LEF and its DEFs: each DEF read like the reference reader, and the
+   set converted like the reference converter. *)
+let import_agrees = function
+  | [] -> true
+  | lef :: defs -> (
+    List.for_all same_def defs
+    &&
+    match (Lef.read lef, List.map Def.read defs) with
+    | Ok lef, defs when List.for_all Result.is_ok defs ->
+      let defs = List.map Result.get_ok defs in
+      identical (Def.to_design ~lef defs)
+        (Ref_def.Def.to_design ~lef (List.map Ref_def.Def.of_flat defs))
+    | _ -> true)
+
+(* Half the inputs are the cross-file and name-table cases of
+   [Def_cases]; the other half a name swapped or lines mutated in one
+   file of an export or the example pair. *)
 let prop_reference_converter =
   Props.test "to_design: same value or error as the reference converter"
-    ~count:300 seeds (fun seed ->
+    ~count:600 seeds (fun seed ->
       let rng = Prng.create seed in
+      if Prng.int_in rng 0 1 = 0 then import_agrees (Def_cases.import_set rng)
+      else
       let files = Array.of_list (pick rng (Lazy.force imports)) in
       let k = Prng.int_in rng 0 (Array.length files - 1) in
       files.(k) <-
@@ -282,8 +302,72 @@ let prop_reference_converter =
       match (Lef.read files.(0), List.map Def.read defs) with
       | Ok lef, defs when List.for_all Result.is_ok defs ->
         let defs = List.map Result.get_ok defs in
-        identical (Def.to_design ~lef defs) (Ref_def.Def.to_design ~lef defs)
+        identical (Def.to_design ~lef defs)
+          (Ref_def.Def.to_design ~lef (List.map Ref_def.Def.of_flat defs))
       | _ -> true)
+
+(* Each edit of [Def_cases] on its own, on both bases: the edits that
+   keep the files valid import, and each seed fault is the error it is
+   meant to be, both as the reference gives them. *)
+let test_cross_file_cases () =
+  let result files =
+    match files with
+    | lef :: defs -> Def.to_design ~lef:(Lef.read_exn lef) (List.map Def.read_exn defs)
+    | [] -> assert false
+  in
+  List.iter
+    (fun (base, bname) ->
+      let base = Lazy.force base in
+      let lef = List.hd base and defs = List.tl base in
+      List.iter
+        (fun (edit, ename, want) ->
+          let files = lef :: edit (Prng.create 3) defs in
+          let what = Printf.sprintf "%s, %s" bname ename in
+          Alcotest.(check bool) (what ^ ": as the reference") true (import_agrees files);
+          match (result files, want) with
+          | Ok _, None -> ()
+          | Error e, Some prefix when String.starts_with ~prefix e -> ()
+          | Ok _, Some prefix -> Alcotest.failf "%s: Ok, want %s..." what prefix
+          | Error e, _ -> Alcotest.failf "%s: %s" what e)
+        [
+          (Def_cases.rename, "renamed", None);
+          (Def_cases.move_nets, "nets in the die-1 file", None);
+          (Def_cases.deal_gp, "seeds dealt across files", None);
+          (Def_cases.unplace, "unplaced", None);
+          ( (fun rng defs -> Def_cases.unplace rng (Def_cases.move_nets rng (Def_cases.rename rng defs))),
+            "all three",
+            None );
+          ( (fun rng defs ->
+              Def_cases.append_line rng defs
+                (List.find Def_cases.is_gp (String.split_on_char '\n' (List.nth defs 1)))),
+            "duplicate seed",
+            Some "duplicate tdflow.gp for component" );
+          ( (fun rng defs -> Def_cases.append_line rng defs "# tdflow.gp ghost 1 2 0.5"),
+            "unknown seed",
+            Some "tdflow.gp names unknown component" );
+          ( (fun rng defs ->
+              List.fold_left
+                (fun defs k -> Def_cases.append_line rng defs (Printf.sprintf "# tdflow.gp ghost%d 1 2 0.5" k))
+                defs (List.init 12 Fun.id)),
+            "twelve unknown seeds",
+            Some "tdflow.gp names unknown component" );
+        ])
+    [ (Def_cases.small, "small"); (Def_cases.large, "large") ];
+  (* the fixture's FIXED components *)
+  let lef = List.hd (Lazy.force Def_cases.small) and defs = List.tl (Lazy.force Def_cases.small) in
+  let fixed =
+    List.concat_map Def_cases.lines defs
+    |> List.find (fun l -> Def_cases.is_component l && List.mem "FIXED" (Def_cases.words l))
+  in
+  let files =
+    lef :: Def_cases.append_line (Prng.create 1) defs
+      (Printf.sprintf "# tdflow.gp %s 1 2 0.5" (Def_cases.comp_of fixed))
+  in
+  Alcotest.(check bool) "fixed seed: as the reference" true (import_agrees files);
+  Alcotest.(check bool) "fixed seed is an error" true
+    (match result files with
+    | Error e -> String.starts_with ~prefix:"tdflow.gp names fixed component" e
+    | Ok _ -> false)
 
 (* Number tokens: the in-place fast paths and the stdlib on a copy must
    agree, errors included, on every DEF decimal; every other token
@@ -671,6 +755,8 @@ let suite =
       test_reference_error_order;
     prop_reference_readers;
     prop_reference_converter;
+    Alcotest.test_case "to_design: cross-file and name-table cases" `Quick
+      test_cross_file_cases;
     prop_numbers;
     prop_line_numbers;
     prop_reference_text_readers;
